@@ -1,6 +1,10 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 #include "core/conv_api.hpp"
@@ -87,6 +91,124 @@ TensorF filter_grad_strided(const TensorF& x, const TensorF& dy,
   return dw;
 }
 
+// ---------------------------------------------------------------------------
+// Elementwise passes: conv bias, BatchNorm2D inference, the skip sum and
+// LeakyReLU, alone or fused. Every path (fused or not, train or infer) runs
+// the per-element helpers below, so the results agree bit for bit.
+
+/// LeakyReLU for 0 < slope ≤ 1. Equal to v < 0 ? v·slope : v bit for bit,
+/// and it vectorizes: under GCC's default -ftrapping-math the select form's
+/// conditional multiply stays a branch ("control flow in loop").
+inline float leaky(float v, float slope) { return std::max(v, v * slope); }
+
+/// BatchNorm2D inference, in the layer's own operation order.
+inline float bn_infer(float v, float gamma, float mean, float inv,
+                      float beta) {
+  return gamma * (v - mean) * inv + beta;
+}
+
+/// Splits `rows` rows of `cols` floats into chunks of at least
+/// kChunkFloats and runs body(first_row, end_row) per chunk on the global
+/// pool. A tensor of one chunk or less runs inline: a fork/join costs
+/// microseconds, more than a small layer's whole pass.
+template <class Body>
+void for_row_chunks(std::int64_t rows, std::int64_t cols, const Body& body) {
+  constexpr std::int64_t kChunkFloats = 8192;
+  const std::int64_t per = std::max(parallel_grain(rows),
+                                    (kChunkFloats + cols - 1) / cols);
+  parallel_for((rows + per - 1) / per, [&](std::int64_t k) {
+    body(k * per, std::min(rows, (k + 1) * per));
+  });
+}
+
+/// Operands of one epilogue pass over a row-major [rows × C] tensor.
+struct EpilogueArgs {
+  const float* bias = nullptr;   // [C]
+  const float* gamma = nullptr;  // [C] each: BatchNorm2D::Affine
+  const float* mean = nullptr;
+  const float* inv = nullptr;
+  const float* beta = nullptr;
+  const float* skip = nullptr;   // [rows × C]
+  float slope = 0.0f;            // LeakyReLU
+};
+
+enum : unsigned { kBias = 1, kBn = 2, kSkip = 4, kAct = 8 };
+
+/// y ← act(bn(y + bias) + skip) in place on rows [r0, r1), each step
+/// present when kOps has its bit. Pointers are __restrict locals so GCC
+/// vectorizes the channel loop.
+template <unsigned kOps>
+void epilogue_rows(const EpilogueArgs& a, float* __restrict y,
+                   std::int64_t r0, std::int64_t r1, std::int64_t c) {
+  const float* __restrict bias = a.bias;
+  const float* __restrict gamma = a.gamma;
+  const float* __restrict mean = a.mean;
+  const float* __restrict inv = a.inv;
+  const float* __restrict beta = a.beta;
+  const float* __restrict skip = a.skip;
+  const float slope = a.slope;
+  for (std::int64_t i = r0 * c; i < r1 * c; i += c) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      float v = y[i + ch];
+      if constexpr ((kOps & kBias) != 0) v += bias[ch];
+      if constexpr ((kOps & kBn) != 0) {
+        v = bn_infer(v, gamma[ch], mean[ch], inv[ch], beta[ch]);
+      }
+      if constexpr ((kOps & kSkip) != 0) v += skip[i + ch];
+      if constexpr ((kOps & kAct) != 0) v = leaky(v, slope);
+      y[i + ch] = v;
+    }
+  }
+}
+
+using EpilogueFn = void (*)(const EpilogueArgs&, float*, std::int64_t,
+                            std::int64_t, std::int64_t);
+
+template <std::size_t... kOps>
+constexpr std::array<EpilogueFn, sizeof...(kOps)> epilogue_table(
+    std::index_sequence<kOps...>) {
+  return {&epilogue_rows<static_cast<unsigned>(kOps)>...};
+}
+
+/// y ← act(bn(y + bias) + skip) in place, per ConvEpilogue; `bias` may be
+/// null. Rows are y's last axis (channels).
+void run_epilogue(TensorF& y, const float* bias, const ConvEpilogue& ep) {
+  static constexpr auto kTable = epilogue_table(std::make_index_sequence<16>{});
+  const std::int64_t c = y.dim(y.rank() - 1);
+  EpilogueArgs a;
+  unsigned ops = 0;
+  if (bias != nullptr) {
+    a.bias = bias;
+    ops |= kBias;
+  }
+  BatchNorm2D::Affine bn;
+  if (ep.bn != nullptr) {
+    IWG_CHECK(y.rank() == 4);
+    bn = ep.bn->inference_affine();
+    IWG_CHECK(static_cast<std::int64_t>(bn.inv.size()) == c);
+    a.gamma = bn.gamma;
+    a.mean = bn.mean;
+    a.inv = bn.inv.data();
+    a.beta = bn.beta;
+    ops |= kBn;
+  }
+  if (ep.skip != nullptr) {
+    IWG_CHECK(ep.skip->same_shape(y));
+    a.skip = ep.skip->data();
+    ops |= kSkip;
+  }
+  if (ep.act != nullptr) {
+    a.slope = ep.act->slope();
+    ops |= kAct;
+  }
+  if (ops == 0) return;
+  const EpilogueFn fn = kTable[ops];
+  float* data = y.data();
+  for_row_chunks(y.size() / c, c, [&](std::int64_t r0, std::int64_t r1) {
+    fn(a, data, r0, r1, c);
+  });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -121,36 +243,26 @@ ConvShape Conv2D::shape_for(const TensorF& x) const {
                    .fw = fsize_, .ph = pad_, .pw = pad_};
 }
 
-TensorF Conv2D::apply(const TensorF& x, const ConvShape& s) const {
-  TensorF y;
-  if (stride_ == 1) {
-    // Param storage is stable and `version` is bumped on every update, so
-    // the forward, the backward, and every later call until the next
-    // optimizer step share one filter transform per Γ geometry.
-    core::ConvOptions opts = options_for(engine_);
-    opts.filter_cache = &core::FilterTransformCache::global();
-    opts.weights_version = w_.version;
-    if (tuned_ && s == tuned_shape_) {
-      y = core::conv2d(x, w_.value, s, tuned_->executable_plan(s), opts);
-    } else {
-      y = core::conv2d(x, w_.value, s, opts);
-    }
-  } else {
-    y = ref::conv2d_implicit_gemm_strided(x, w_.value, s, stride_, stride_);
+TensorF Conv2D::convolve(const TensorF& x, const ConvShape& s) const {
+  if (stride_ != 1) {
+    return ref::conv2d_implicit_gemm_strided(x, w_.value, s, stride_, stride_);
   }
-  // Bias.
-  const std::int64_t oc = y.dim(3);
-  const std::int64_t pixels = y.size() / oc;
-  for (std::int64_t m = 0; m < pixels; ++m) {
-    float* row = y.data() + m * oc;
-    for (std::int64_t c = 0; c < oc; ++c) row[c] += b_.value[c];
+  // Param storage is stable and `version` is bumped on every update, so
+  // the forward, the backward, and every later call until the next
+  // optimizer step share one filter transform per Γ geometry.
+  core::ConvOptions opts = options_for(engine_);
+  opts.filter_cache = &core::FilterTransformCache::global();
+  opts.weights_version = w_.version;
+  if (tuned_ && s == tuned_shape_) {
+    return core::conv2d(x, w_.value, s, tuned_->executable_plan(s), opts);
   }
-  return y;
+  return core::conv2d(x, w_.value, s, opts);
 }
 
 TensorF Conv2D::forward(const TensorF& x, bool train) {
   shape_ = shape_for(x);
-  TensorF y = apply(x, shape_);
+  TensorF y = convolve(x, shape_);
+  run_epilogue(y, b_.value.data(), {});
   if (train) {
     x_cache_ = x;
   } else {
@@ -159,12 +271,22 @@ TensorF Conv2D::forward(const TensorF& x, bool train) {
   return y;
 }
 
-TensorF Conv2D::infer(const TensorF& x) const { return apply(x, shape_for(x)); }
+TensorF Conv2D::infer(const TensorF& x, const ConvEpilogue& ep) const {
+  TensorF y = convolve(x, shape_for(x));
+  run_epilogue(y, b_.value.data(), ep);
+  return y;
+}
 
-std::vector<TensorF> Conv2D::infer_ragged(
-    const std::vector<TensorF>& xs) const {
+std::vector<TensorF> Conv2D::infer_ragged(const std::vector<TensorF>& xs,
+                                          const ConvEpilogue& ep) const {
+  IWG_CHECK_MSG(ep.skip == nullptr, "infer_ragged takes no skip tensor");
   // Strided layers have no indirect path — keep the per-image baseline.
-  if (stride_ != 1 || xs.empty()) return Layer::infer_ragged(xs);
+  if (stride_ != 1 || xs.empty()) {
+    std::vector<TensorF> ys;
+    ys.reserve(xs.size());
+    for (const TensorF& x : xs) ys.push_back(infer(x, ep));
+    return ys;
+  }
   const std::int64_t oc = w_.value.dim(0);
   // Dispatch-wide geometry (channels/filter/padding); spatial extents are
   // per image. plan_for never sees N, and the indirect entry reuses the
@@ -184,13 +306,7 @@ std::vector<TensorF> Conv2D::infer_ragged(
   opts.fc.cache = &core::FilterTransformCache::global();
   opts.fc.version = w_.version;
   core::conv2d_gamma_host_indirect(views, w_.value, geom, opts);
-  for (TensorF& y : ys) {
-    const std::int64_t pixels = y.size() / oc;
-    for (std::int64_t m = 0; m < pixels; ++m) {
-      float* row = y.data() + m * oc;
-      for (std::int64_t c = 0; c < oc; ++c) row[c] += b_.value[c];
-    }
-  }
+  for (TensorF& y : ys) run_epilogue(y, b_.value.data(), ep);
   return ys;
 }
 
@@ -275,43 +391,33 @@ BatchNorm2D::BatchNorm2D(std::int64_t channels, float momentum, float eps)
 }
 
 TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
+  if (!train) return infer(x);
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
   const std::int64_t m = x.size() / channels_;
   TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-  if (train) {
-    xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-    count_ = m;
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      double mean = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) mean += x[i * channels_ + c];
-      mean /= static_cast<double>(m);
-      double var = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) {
-        const double d = x[i * channels_ + c] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(m);
-      const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      inv_std_[static_cast<std::size_t>(c)] = inv;
-      running_mean_[c] = momentum_ * running_mean_[c] +
-                         (1.0f - momentum_) * static_cast<float>(mean);
-      running_var_[c] = momentum_ * running_var_[c] +
-                        (1.0f - momentum_) * static_cast<float>(var);
-      for (std::int64_t i = 0; i < m; ++i) {
-        const float xh =
-            (x[i * channels_ + c] - static_cast<float>(mean)) * inv;
-        xhat_[i * channels_ + c] = xh;
-        y[i * channels_ + c] = gamma_.value[c] * xh + beta_.value[c];
-      }
+  xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+  count_ = m;
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    double mean = 0.0;
+    for (std::int64_t i = 0; i < m; ++i) mean += x[i * channels_ + c];
+    mean /= static_cast<double>(m);
+    double var = 0.0;
+    for (std::int64_t i = 0; i < m; ++i) {
+      const double d = x[i * channels_ + c] - mean;
+      var += d * d;
     }
-  } else {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float inv = 1.0f / std::sqrt(running_var_[c] + eps_);
-      for (std::int64_t i = 0; i < m; ++i) {
-        y[i * channels_ + c] =
-            gamma_.value[c] * (x[i * channels_ + c] - running_mean_[c]) * inv +
-            beta_.value[c];
-      }
+    var /= static_cast<double>(m);
+    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+    inv_std_[static_cast<std::size_t>(c)] = inv;
+    running_mean_[c] = momentum_ * running_mean_[c] +
+                       (1.0f - momentum_) * static_cast<float>(mean);
+    running_var_[c] = momentum_ * running_var_[c] +
+                      (1.0f - momentum_) * static_cast<float>(var);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float xh =
+          (x[i * channels_ + c] - static_cast<float>(mean)) * inv;
+      xhat_[i * channels_ + c] = xh;
+      y[i * channels_ + c] = gamma_.value[c] * xh + beta_.value[c];
     }
   }
   return y;
@@ -319,17 +425,22 @@ TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
 
 TensorF BatchNorm2D::infer(const TensorF& x) const {
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
-  const std::int64_t m = x.size() / channels_;
-  TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    const float inv = 1.0f / std::sqrt(running_var_[c] + eps_);
-    for (std::int64_t i = 0; i < m; ++i) {
-      y[i * channels_ + c] =
-          gamma_.value[c] * (x[i * channels_ + c] - running_mean_[c]) * inv +
-          beta_.value[c];
-    }
-  }
+  TensorF y = x;
+  run_epilogue(y, nullptr, {.bn = this});
   return y;
+}
+
+BatchNorm2D::Affine BatchNorm2D::inference_affine() const {
+  Affine a;
+  a.gamma = gamma_.value.data();
+  a.mean = running_mean_.data();
+  a.beta = beta_.value.data();
+  a.inv.resize(static_cast<std::size_t>(channels_));
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    a.inv[static_cast<std::size_t>(c)] =
+        1.0f / std::sqrt(running_var_[c] + eps_);
+  }
+  return a;
 }
 
 TensorF BatchNorm2D::backward(const TensorF& dy) {
@@ -362,33 +473,55 @@ TensorF BatchNorm2D::backward(const TensorF& dy) {
 // ---------------------------------------------------------------------------
 // LeakyReLU
 
+LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
+  // max(v, v·slope) is the select v < 0 ? v·slope : v only in this range.
+  IWG_CHECK_MSG(slope > 0.0f && slope <= 1.0f,
+                "LeakyReLU slope must lie in (0, 1]");
+}
+
 TensorF LeakyReLU::forward(const TensorF& x, bool train) {
+  if (!train) return infer(x);
   TensorF y = x;
-  if (train) mask_.assign(static_cast<std::size_t>(x.size()), 0);
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) {
-      y[i] *= slope_;
-    } else if (train) {
-      mask_[static_cast<std::size_t>(i)] = 1;
+  mask_.resize(static_cast<std::size_t>(x.size()));
+  const float* xd = x.data();
+  float* yd = y.data();
+  std::uint8_t* md = mask_.data();
+  const float slope = slope_;
+  for_row_chunks(x.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
+    const float* __restrict xs = xd;
+    float* __restrict ys = yd;
+    std::uint8_t* __restrict ms = md;
+    for (std::int64_t i = i0; i < i1; ++i) {
+      ys[i] = leaky(xs[i], slope);
+      ms[i] = !(xs[i] < 0.0f);
     }
-  }
+  });
   return y;
 }
 
 TensorF LeakyReLU::infer(const TensorF& x) const {
   TensorF y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] *= slope_;
-  }
+  run_epilogue(y, nullptr, {.act = this});
   return y;
 }
 
 TensorF LeakyReLU::backward(const TensorF& dy) {
   IWG_CHECK(static_cast<std::int64_t>(mask_.size()) == dy.size());
   TensorF dx = dy;
-  for (std::int64_t i = 0; i < dx.size(); ++i) {
-    if (!mask_[static_cast<std::size_t>(i)]) dx[i] *= slope_;
-  }
+  float* dd = dx.data();
+  const std::uint8_t* md = mask_.data();
+  const float slope = slope_;
+  for_row_chunks(dx.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
+    float* __restrict d = dd;
+    const std::uint8_t* __restrict ms = md;
+    for (std::int64_t i = i0; i < i1; ++i) {
+      // A bitwise select: the ?: form compiles to a branch (see leaky()).
+      const std::uint32_t keep = 0u - ms[i];
+      const auto g = std::bit_cast<std::uint32_t>(d[i]);
+      const auto scaled = std::bit_cast<std::uint32_t>(d[i] * slope);
+      d[i] = std::bit_cast<float>((g & keep) | (scaled & ~keep));
+    }
+  });
   return dx;
 }
 

@@ -15,6 +15,23 @@ namespace iwg::nn {
 /// the gain for LeakyReLU-style rectifiers.
 void kaiming_uniform(TensorF& w, std::int64_t fan_in, Rng& rng);
 
+class BatchNorm2D;
+class LeakyReLU;
+
+/// The elementwise layers an inference convolution's output runs through
+/// before anything else reads it, each optional: an inference-mode
+/// BatchNorm2D, a skip tensor of the output's shape (the ResidualBlock
+/// sum), then a LeakyReLU. Conv2D applies them after its bias in one pass
+/// over its output, with each element's operations in the unfused layers'
+/// order (bias, BN, skip, activation), so the result is bitwise equal to
+/// running the layers one by one. BN reads its live γ/β and running
+/// statistics; nothing is folded into the weights.
+struct ConvEpilogue {
+  const BatchNorm2D* bn = nullptr;
+  const TensorF* skip = nullptr;
+  const LeakyReLU* act = nullptr;
+};
+
 /// 2-D convolution, NHWC, square filter, stride 1 or 2.
 /// Unit-stride layers run on the configured engine (Winograd or GEMM);
 /// strided layers always fall back to implicit GEMM, as in the paper.
@@ -30,12 +47,19 @@ class Conv2D final : public Layer {
 
   std::string name() const override { return label_; }
   TensorF forward(const TensorF& x, bool train) override;
-  TensorF infer(const TensorF& x) const override;
+  TensorF infer(const TensorF& x) const override { return infer(x, {}); }
+  /// infer() followed by the layers `ep` names, fused into its bias pass.
+  TensorF infer(const TensorF& x, const ConvEpilogue& ep) const;
   /// Mixed-shape batch: every unit-stride image runs in ONE indirect Γ
   /// dispatch (conv2d_gamma_host_indirect); strided layers fall back to the
   /// per-image default. Bitwise identical per image to infer().
   std::vector<TensorF> infer_ragged(
-      const std::vector<TensorF>& xs) const override;
+      const std::vector<TensorF>& xs) const override {
+    return infer_ragged(xs, {});
+  }
+  /// The same with a per-image epilogue (`ep.skip` must be null).
+  std::vector<TensorF> infer_ragged(const std::vector<TensorF>& xs,
+                                    const ConvEpilogue& ep) const;
   TensorF backward(const TensorF& dy) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::int64_t activation_bytes() const override { return x_cache_.size() * 4; }
@@ -51,8 +75,8 @@ class Conv2D final : public Layer {
 
  private:
   ConvShape shape_for(const TensorF& x) const;
-  /// The pure convolution + bias computation shared by forward and infer.
-  TensorF apply(const TensorF& x, const ConvShape& s) const;
+  /// The convolution without bias, shared by forward and infer.
+  TensorF convolve(const TensorF& x, const ConvShape& s) const;
 
   std::string label_;
   std::int64_t fsize_, stride_, pad_;
@@ -80,6 +104,17 @@ class BatchNorm2D final : public Layer {
     return (xhat_.size() + 2 * channels_) * 4;
   }
 
+  /// The inference transform v ↦ γ[c]·(v − μ[c])·inv[c] + β[c] as
+  /// per-channel arrays, read from the live parameters and running
+  /// statistics; inv[c] = 1/√(var[c] + ε) is computed per call.
+  struct Affine {
+    const float* gamma = nullptr;
+    const float* mean = nullptr;
+    std::vector<float> inv;
+    const float* beta = nullptr;
+  };
+  Affine inference_affine() const;
+
  private:
   std::int64_t channels_;
   float momentum_, eps_;
@@ -90,19 +125,23 @@ class BatchNorm2D final : public Layer {
   std::int64_t count_ = 0;       // N·H·W of the cached batch
 };
 
-/// LeakyReLU activation (§6.3.1), slope 0.01.
+/// LeakyReLU activation (§6.3.1), slope 0.01. Computed branch-free as
+/// max(v, v·slope), which equals the select v < 0 ? v·slope : v bit for bit
+/// (±0, ±inf and NaN included) for 0 < slope ≤ 1 — the range the
+/// constructor accepts.
 class LeakyReLU final : public Layer {
  public:
-  explicit LeakyReLU(float slope = 0.01f) : slope_(slope) {}
+  explicit LeakyReLU(float slope = 0.01f);
   std::string name() const override { return "leaky_relu"; }
   TensorF forward(const TensorF& x, bool train) override;
   TensorF infer(const TensorF& x) const override;
   TensorF backward(const TensorF& dy) override;
   std::int64_t activation_bytes() const override { return mask_.size(); }
+  float slope() const { return slope_; }
 
  private:
   float slope_;
-  std::vector<std::uint8_t> mask_;
+  std::vector<std::uint8_t> mask_;  // 1 where the input was not negative
 };
 
 /// 2×2 max pooling with stride 2 (VGG down-sampling).

@@ -5,6 +5,38 @@
 
 namespace iwg::nn {
 
+namespace {
+
+/// One inference step: a Conv2D fused with the BatchNorm2D and then the
+/// LeakyReLU that directly follow it (each optional), or any other layer
+/// on its own. Found from layer types on every call, so there is no plan
+/// to keep in sync with the layer list.
+struct Step {
+  const Layer* layer = nullptr;
+  const Conv2D* conv = nullptr;  // set for a fused conv step
+  ConvEpilogue ep;
+  std::size_t layers = 1;        // layers the step covers
+};
+
+Step step_at(const std::vector<LayerPtr>& layers, std::size_t i) {
+  Step s;
+  s.layer = layers[i].get();
+  s.conv = dynamic_cast<const Conv2D*>(s.layer);
+  if (s.conv == nullptr) return s;
+  const auto next = [&]() -> const Layer* {
+    return i + s.layers < layers.size() ? layers[i + s.layers].get() : nullptr;
+  };
+  if ((s.ep.bn = dynamic_cast<const BatchNorm2D*>(next())) != nullptr) {
+    ++s.layers;
+  }
+  if ((s.ep.act = dynamic_cast<const LeakyReLU*>(next())) != nullptr) {
+    ++s.layers;
+  }
+  return s;
+}
+
+}  // namespace
+
 TensorF Model::forward(const TensorF& x, bool train) {
   TensorF h = x;
   for (auto& l : layers_) {
@@ -15,20 +47,31 @@ TensorF Model::forward(const TensorF& x, bool train) {
 }
 
 TensorF Model::infer(const TensorF& x) const {
-  TensorF h = x;
-  for (const auto& l : layers_) {
-    IWG_TRACE_SPAN(span, l->name(), "nn.infer");
-    h = l->infer(h);
+  if (layers_.empty()) return x;
+  TensorF h;
+  const TensorF* in = &x;  // the first step reads the caller's input
+  for (std::size_t i = 0; i < layers_.size();) {
+    const Step s = step_at(layers_, i);
+    IWG_TRACE_SPAN(span, s.layer->name(), "nn.infer");
+    h = s.conv != nullptr ? s.conv->infer(*in, s.ep) : s.layer->infer(*in);
+    in = &h;
+    i += s.layers;
   }
   return h;
 }
 
 std::vector<TensorF> Model::infer_ragged(
     const std::vector<TensorF>& xs) const {
-  std::vector<TensorF> hs = xs;
-  for (const auto& l : layers_) {
-    IWG_TRACE_SPAN(span, l->name(), "nn.infer");
-    hs = l->infer_ragged(hs);
+  if (layers_.empty()) return xs;
+  std::vector<TensorF> hs;
+  const std::vector<TensorF>* in = &xs;
+  for (std::size_t i = 0; i < layers_.size();) {
+    const Step s = step_at(layers_, i);
+    IWG_TRACE_SPAN(span, s.layer->name(), "nn.infer");
+    hs = s.conv != nullptr ? s.conv->infer_ragged(*in, s.ep)
+                           : s.layer->infer_ragged(*in);
+    in = &hs;
+    i += s.layers;
   }
   return hs;
 }
@@ -113,13 +156,19 @@ TensorF ResidualBlock::forward(const TensorF& x, bool train) {
 }
 
 TensorF ResidualBlock::infer(const TensorF& x) const {
-  TensorF h = x;
-  for (const auto& l : main_) h = l->infer(h);
-  TensorF skip = x;
-  for (const auto& l : proj_) skip = l->infer(skip);
-  IWG_CHECK(h.same_shape(skip));
-  for (std::int64_t i = 0; i < h.size(); ++i) h[i] += skip[i];
-  return relu_out_->infer(h);
+  // Three fused steps: proj_ = conv bn (if any), then main_ = conv bn relu
+  // | conv bn, whose epilogue also takes the skip and relu_out_. The
+  // identity shortcut reads x in place.
+  TensorF proj;
+  if (!proj_.empty()) {
+    const Step p = step_at(proj_, 0);
+    proj = p.conv->infer(x, p.ep);
+  }
+  const Step s1 = step_at(main_, 0);
+  Step s2 = step_at(main_, s1.layers);
+  s2.ep.skip = proj_.empty() ? &x : &proj;
+  s2.ep.act = static_cast<const LeakyReLU*>(relu_out_.get());
+  return s2.conv->infer(s1.conv->infer(x, s1.ep), s2.ep);
 }
 
 TensorF ResidualBlock::backward(const TensorF& dy) {

@@ -151,26 +151,26 @@ std::future<Response> FleetScheduler::submit_impl(
     resolve_now(r, Status::kShutdown, "tenant closed");
     return fut;
   }
+  const auto reject = [&](const char* reason) {
+    lock.unlock();
+    st.rejected.fetch_add(1, std::memory_order_relaxed);
+    TenantMetrics::of(tenant).rejected.add();
+    rejected_counter().add();
+    resolve_now(r, Status::kRejected, reason);
+    return std::move(fut);
+  };
+  // A wrong channel count would throw inside the model on a worker.
+  if (r.input.dim(2) != st.tenant->cfg.channels) {
+    return reject("channel mismatch");
+  }
   r.deadline = deadline.has_value()
                    ? *deadline
                    : (st.tenant->cfg.default_deadline.count() > 0
                           ? Deadline::after(st.tenant->cfg.default_deadline)
                           : Deadline::never());
-  if (!st.bucket.try_acquire(r.enqueue_time)) {
-    lock.unlock();
-    st.rejected.fetch_add(1, std::memory_order_relaxed);
-    TenantMetrics::of(tenant).rejected.add();
-    rejected_counter().add();
-    resolve_now(r, Status::kRejected, "rate limited");
-    return fut;
-  }
+  if (!st.bucket.try_acquire(r.enqueue_time)) return reject("rate limited");
   if (st.q.size() >= st.tenant->cfg.queue_capacity) {
-    lock.unlock();
-    st.rejected.fetch_add(1, std::memory_order_relaxed);
-    TenantMetrics::of(tenant).rejected.add();
-    rejected_counter().add();
-    resolve_now(r, Status::kRejected, "queue full");
-    return fut;
+    return reject("queue full");
   }
 
   if (st.q.empty()) {

@@ -134,7 +134,7 @@ class FleetScheduler {
   struct TenantStats {
     std::int64_t accepted = 0;   ///< admitted into the tenant queue
     std::int64_t completed = 0;  ///< served with kOk
-    std::int64_t rejected = 0;   ///< refused at admission (rate/full/closed)
+    std::int64_t rejected = 0;   ///< refused at admission (any reason)
     std::int64_t expired = 0;    ///< deadline-shed before dispatch
     std::int64_t shed = 0;       ///< kShutdown-resolved at stop/deregister
     std::int64_t batches = 0;

@@ -281,6 +281,24 @@ TEST(FleetScheduler, RateLimitedSubmitsResolveRejected) {
   EXPECT_TRUE(s.all_resolved());
 }
 
+TEST(FleetScheduler, ChannelMismatchRejectedAtAdmission) {
+  // The model would throw on a worker; admission turns it away instead.
+  FleetScheduler fleet(fleet_cfg());
+  fleet.add_tenant(make_tiny_classifier(), tenant_cfg("rgb"));
+  Rng rng(3);
+  auto bad = fleet.submit("rgb", random_image(rng, 8, 8, /*c=*/4));
+  const Response r = bad.get();  // resolved synchronously at admission
+  EXPECT_EQ(r.status, Status::kRejected);
+  EXPECT_EQ(r.reason, "channel mismatch");
+  auto good = fleet.submit("rgb", random_image(rng));
+  fleet.stop(/*drain=*/true);
+  EXPECT_EQ(good.get().status, Status::kOk);
+  const FleetScheduler::Stats s = fleet.stats();
+  EXPECT_EQ(s.tenants.at("rgb").rejected, 1);
+  EXPECT_EQ(s.tenants.at("rgb").completed, 1);
+  EXPECT_TRUE(s.all_resolved());
+}
+
 TEST(FleetScheduler, FullTenantQueueRejectsWithReason) {
   FleetConfig fc = fleet_cfg();
   fc.workers = 1;
