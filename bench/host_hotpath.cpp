@@ -13,7 +13,8 @@
 // Full mode gates on the 1.5× bound and exits 1 on failure; --smoke runs a
 // trimmed sweep and reports without gating the speedup (CI smoke boxes are
 // noisy), but always asserts the metrics invariant: filter-transform misses
-// == distinct (weights version, Γ geometry) pairs.
+// == distinct (weights version, geometry) pairs, where a geometry is a Γ
+// (α, r) or the GEMM tail's weight panel.
 #include <cstdio>
 #include <cstring>
 #include <set>
@@ -477,9 +478,10 @@ Result run_scenario(const Scenario& sc, int reps) {
   return r;
 }
 
-/// Misses must equal distinct (weights version, Γ geometry) pairs: run
+/// Misses must equal distinct (weights version, geometry) pairs: run
 /// `versions` weight versions × `reps` calls each over a multi-segment plan
-/// and compare against the plan's distinct (α, r) set.
+/// and compare against the plan's distinct set of Γ (α, r) geometries plus
+/// the GEMM tail's weight panel (cached under α = kGemmPanelAlpha).
 bool check_metrics_invariant(long long* misses_out, long long* expected_out) {
   const ConvShape s = shape(1, 23, 8, 8, 3);  // OW=23: Γ segments + GEMM tail
   const TensorF x = rand_tensor({s.n, s.ih, s.iw, s.ic}, 21);
@@ -488,7 +490,9 @@ bool check_metrics_invariant(long long* misses_out, long long* expected_out) {
 
   std::set<std::pair<int, int>> geoms;
   for (const core::Segment& seg : plan) {
-    if (!seg.is_gemm) geoms.insert({seg.cfg.alpha, seg.cfg.r});
+    geoms.insert(seg.is_gemm ? std::pair{core::kGemmPanelAlpha,
+                                         static_cast<int>(s.fw)}
+                             : std::pair{seg.cfg.alpha, seg.cfg.r});
   }
 
   core::FilterTransformCache cache(16);

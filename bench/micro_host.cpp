@@ -299,23 +299,6 @@ void register_kernel_benches() {
           state.counters["Gflop/s"] = benchmark::Counter(
               it * 2.0 * 8 * kNc / 1e9, benchmark::Counter::kIsRate);
         });
-
-    // GEMM-tail dot product (one im2col patch row · one filter row).
-    benchmark::RegisterBenchmark(
-        ("BM_KernelDot" + suffix).c_str(), [hk](benchmark::State& state) {
-          constexpr std::int64_t kN = 3 * 3 * 64;
-          auto b = make_kernel_buffers(kN, 1, 2);
-          for (auto _ : state) {
-            float v = hk->dot(b.ds[0], b.ds[1], kN);
-            benchmark::DoNotOptimize(v);
-          }
-          const double it = static_cast<double>(state.iterations());
-          state.counters["GB/s"] = benchmark::Counter(
-              it * 2.0 * kN * sizeof(float) / 1e9,
-              benchmark::Counter::kIsRate);
-          state.counters["Gflop/s"] = benchmark::Counter(
-              it * 2.0 * kN / 1e9, benchmark::Counter::kIsRate);
-        });
   }
 }
 

@@ -684,6 +684,7 @@ FleetDeadlineRun run_fleet_deadline(serve::TenantOrder order,
       case serve::Status::kExpired: ++res.tight_expired; break;
       case serve::Status::kShutdown: ++res.tight_shutdown; break;
       case serve::Status::kRejected: break;  // capacity 1<<16: none
+      case serve::Status::kError: break;     // valid images: none
     }
   }
   res.metric_missed = missed_counter.value() - missed_before;

@@ -305,7 +305,8 @@ int run_fleet_demo(int admin_port) {
   }
   fleet.stop(/*drain=*/false);  // freeze the window; the backlog sheds
 
-  std::int64_t ok = 0, rejected = 0, expired = 0, shutdown = 0, unresolved = 0;
+  std::int64_t ok = 0, rejected = 0, expired = 0, shutdown = 0, errors = 0,
+               unresolved = 0;
   for (auto& f : futs) {
     if (f.wait_for(30s) != std::future_status::ready) {
       ++unresolved;
@@ -316,6 +317,7 @@ int run_fleet_demo(int admin_port) {
       case serve::Status::kRejected: ++rejected; break;
       case serve::Status::kExpired: ++expired; break;
       case serve::Status::kShutdown: ++shutdown; break;
+      case serve::Status::kError: ++errors; break;
     }
   }
 
@@ -328,10 +330,11 @@ int run_fleet_demo(int admin_port) {
     window_total += window[t];
   }
   std::printf("resolved: ok %lld  rejected %lld  expired %lld  shutdown %lld "
-              " (of %zu)  swaps %d\n",
+              " errors %lld (of %zu)  swaps %d\n",
               static_cast<long long>(ok), static_cast<long long>(rejected),
               static_cast<long long>(expired),
-              static_cast<long long>(shutdown), futs.size(), swaps);
+              static_cast<long long>(shutdown), static_cast<long long>(errors),
+              futs.size(), swaps);
   for (int t = 0; t < 3; ++t) {
     const double share =
         static_cast<double>(window[t]) / static_cast<double>(window_total);
@@ -354,7 +357,7 @@ int run_fleet_demo(int admin_port) {
                 static_cast<long long>(unresolved));
     fail = true;
   }
-  if (ok + rejected + expired + shutdown !=
+  if (ok + rejected + expired + shutdown + errors !=
       static_cast<std::int64_t>(futs.size())) {
     std::printf("FAIL: response accounting does not cover every request\n");
     fail = true;
@@ -520,7 +523,8 @@ int main(int argc, char** argv) {
 
   // Every future must resolve — kOk, kRejected, kExpired, or kShutdown all
   // count; an unresolved future is the one unacceptable outcome.
-  std::int64_t ok = 0, rejected = 0, expired = 0, shutdown = 0, unresolved = 0;
+  std::int64_t ok = 0, rejected = 0, expired = 0, shutdown = 0, errors = 0,
+               unresolved = 0;
   double latency_sum_us = 0.0;
   for (auto& per_client : futures) {
     for (auto& f : per_client) {
@@ -537,6 +541,7 @@ int main(int argc, char** argv) {
         case serve::Status::kRejected: ++rejected; break;
         case serve::Status::kExpired: ++expired; break;
         case serve::Status::kShutdown: ++shutdown; break;
+        case serve::Status::kError: ++errors; break;
       }
     }
   }
@@ -546,10 +551,11 @@ int main(int argc, char** argv) {
   const std::int64_t total =
       static_cast<std::int64_t>(clients) * requests_per_client;
   std::printf("resolved: ok %lld  rejected %lld  expired %lld  shutdown %lld "
-              " (of %lld)\n",
+              " errors %lld (of %lld)\n",
               static_cast<long long>(ok), static_cast<long long>(rejected),
               static_cast<long long>(expired),
-              static_cast<long long>(shutdown), static_cast<long long>(total));
+              static_cast<long long>(shutdown), static_cast<long long>(errors),
+              static_cast<long long>(total));
   std::printf("session:  accepted %lld  completed %lld  batches %lld "
               "(indirect %lld)  mean batch %.2f  mean latency %.0f us\n",
               static_cast<long long>(stats.accepted),
@@ -568,7 +574,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(unresolved));
     fail = true;
   }
-  if (ok + rejected + expired + shutdown != total) {
+  if (ok + rejected + expired + shutdown + errors != total) {
     std::printf("FAIL: response accounting does not cover every request\n");
     fail = true;
   }

@@ -69,16 +69,17 @@ void export_sim_stats(SpanT& span, const sim::LaunchStats& st) {
 
 std::vector<Segment> plan_for(const ConvShape& s, const ConvOptions& opts) {
   s.validate();
-  if (!opts.use_winograd || s.fw < 2 || s.fw > 9) {
-    // Whole width handled by GEMM (also the non-unit-stride fallback path).
-    Segment seg;
-    seg.is_gemm = true;
-    seg.ow_start = 0;
-    seg.ow_len = s.ow();
-    return {seg};
-  }
+  if (!opts.use_winograd || s.fw < 2 || s.fw > 9) return gemm_plan(s.ow());
   const bool c64 = opts.allow_c64 && s.ic % 64 == 0 && s.oc % 64 == 0;
   return plan_boundary(s.ow(), static_cast<int>(s.fw), opts.allow_ruse, c64);
+}
+
+std::vector<Segment> gemm_plan(std::int64_t ow) {
+  Segment seg;
+  seg.is_gemm = true;
+  seg.ow_start = 0;
+  seg.ow_len = ow;
+  return {seg};
 }
 
 std::vector<Segment> plan_single(const ConvShape& s,
@@ -129,6 +130,16 @@ TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
   std::optional<trace::Suppress> mute;
   if (!opts.trace) mute.emplace();
   return conv2d_gamma_host(x, w, s, plan, cache_ref(opts));
+}
+
+TensorF conv2d_strided(const TensorF& x, const TensorF& w, const ConvShape& s,
+                       std::int64_t stride, const ConvOptions& opts) {
+  if (stride == 1) return conv2d(x, w, s, opts);
+  std::optional<trace::Suppress> mute;
+  if (!opts.trace) mute.emplace();
+  s.validate();
+  return conv2d_gamma_host(x, w, s, gemm_plan(strided_extent(s.ow(), stride)),
+                           cache_ref(opts), stride);
 }
 
 TensorF conv2d_nchw(const TensorF& x_nchw, const TensorF& w,

@@ -37,6 +37,9 @@ struct ConvOptions {
 /// Boundary plan for a shape under the default priority lists.
 std::vector<Segment> plan_for(const ConvShape& s, const ConvOptions& opts = {});
 
+/// The GEMM-only plan: one implicit-GEMM segment over all `ow` columns.
+std::vector<Segment> gemm_plan(std::int64_t ow);
+
 /// Boundary plan that uses exactly `primary` for the divisible prefix and
 /// GEMM for the remainder (benchmarking a specific kernel variant).
 std::vector<Segment> plan_single(const ConvShape& s, const GammaConfig& primary);
@@ -51,6 +54,14 @@ TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
 /// fixes the kernel choices).
 TensorF conv2d(const TensorF& x, const TensorF& w, const ConvShape& s,
                const std::vector<Segment>& plan, const ConvOptions& opts = {});
+
+/// Stride-`stride` 2-D convolution, NHWC, host engine; the output is
+/// strided_extent(s.oh(), stride) × strided_extent(s.ow(), stride). Stride
+/// 1 is conv2d. Larger strides run the implicit GEMM (the paper keeps
+/// non-unit-stride layers on GEMM, §6.3.2) whatever opts.use_winograd says;
+/// `opts` contributes the filter-cache/trace knobs.
+TensorF conv2d_strided(const TensorF& x, const TensorF& w, const ConvShape& s,
+                       std::int64_t stride, const ConvOptions& opts = {});
 
 /// Backward-data / transposed convolution, NHWC, host engine.
 TensorF deconv2d(const TensorF& dy, const TensorF& w, const ConvShape& s,

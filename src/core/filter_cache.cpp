@@ -53,6 +53,24 @@ std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
   return ghat;
 }
 
+std::vector<float> gemm_panel_host(const TensorF& w) {
+  IWG_CHECK(w.rank() == 4);
+  const std::int64_t oc = w.dim(0);
+  const std::int64_t taps = w.dim(1) * w.dim(2);
+  const std::int64_t ic = w.dim(3);
+  std::vector<float> panel(static_cast<std::size_t>(w.size()));
+  const float* src = w.data();
+  for (std::int64_t o = 0; o < oc; ++o) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      for (std::int64_t i = 0; i < ic; ++i) {
+        panel[static_cast<std::size_t>((t * ic + i) * oc + o)] =
+            src[(o * taps + t) * ic + i];
+      }
+    }
+  }
+  return panel;
+}
+
 std::size_t FilterTransformCache::KeyHash::operator()(const Key& k) const {
   std::size_t h = std::hash<const void*>{}(k.weights);
   auto mix = [&h](std::size_t v) {

@@ -14,7 +14,11 @@
 //   * ĝ depends on the Γ geometry only through (α, r) (the G matrix), so a
 //     ruse prefix and its base mop-up segment share one entry;
 //   * `deconv` distinguishes the backward-data transform (rotated /
-//     channel-swapped filter) of the same weights.
+//     channel-swapped filter) of the same weights;
+//   * the implicit-GEMM body's weight panel [FH][FW][IC][OC] lives here
+//     too, under α = kGemmPanelAlpha (the identity transform, a geometry
+//     no Γ kernel has), so a version bump or `invalidate` drops it exactly
+//     as it drops ĝ.
 //
 // Entries are shared_ptrs: a conv executing against an entry keeps it alive
 // even if it is evicted or invalidated mid-flight. Misses compute outside
@@ -51,6 +55,15 @@ namespace iwg::core {
 /// host engine's inner axpy. `w` is the original OC,FH,FW,IC filter.
 std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
                                          const GammaConfig& cfg);
+
+/// Cache-key α of the implicit-GEMM weight panel: α = 1, the identity
+/// transform. Γ kernels use α ∈ {4, 8, 16}, so the keys never collide.
+inline constexpr int kGemmPanelAlpha = 1;
+
+/// The implicit-GEMM weight panel [FH][FW][IC][OC] of the OC,FH,FW,IC
+/// filter `w`: one [IC][OC] plane per filter tap, OC contiguous — the
+/// g[k·nj + j] operand of axpy_rank1_multi.
+std::vector<float> gemm_panel_host(const TensorF& w);
 
 /// The metrics-registry counters the host filter-transform paths feed
 /// (stable references, cheap to cache at call sites).

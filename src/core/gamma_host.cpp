@@ -121,29 +121,43 @@ void gamma_tile_column(const ImageTask& img, const ConvShape& geom,
   }
 }
 
-void gemm_row(const ImageTask& img, const ConvShape& geom, const float* w,
-              const HostKernels& hk, std::int64_t hi, std::int64_t ow_start,
-              std::int64_t ow_len) {
-  const std::int64_t gk = geom.fh * geom.fw * geom.ic;
-  ScratchArena& arena = ScratchArena::local();
-  const ScratchArena::Scope scope(arena);
-  float* patch = arena.alloc_floats(static_cast<std::size_t>(gk));
-  for (std::int64_t wo = ow_start; wo < ow_start + ow_len; ++wo) {
-    float* dst = patch;
-    for (std::int64_t fh = 0; fh < geom.fh; ++fh) {
-      const std::int64_t ihp = hi + fh - geom.ph;
-      const float* xrow = img.rows[ihp + geom.ph];
-      for (std::int64_t fw = 0; fw < geom.fw; ++fw) {
-        const std::int64_t iwp = wo + fw - geom.pw;
-        const bool in = xrow != nullptr && iwp >= 0 && iwp < img.iw;
-        const float* src = in ? xrow + iwp * geom.ic : nullptr;
-        for (std::int64_t ic = 0; ic < geom.ic; ++ic)
-          *dst++ = in ? src[ic] : 0.0f;
+// Tap-outer, pixel-block-inner: one tap's IC×OC panel plane serves every
+// block of the row while it is hot, and each call reuses every loaded plane
+// vector across the block's up-to-8 accumulator rows (the Γ accumulate's
+// register blocking). Per element the taps still arrive in ascending
+// (fh, fw) order, so the sum order is the patch-times-filter dot product's
+// — minus the padding zeros.
+void gemm_row(const ImageTask& img, const ConvShape& geom, const float* panel,
+              const HostKernels& hk, std::int64_t stride, std::int64_t hi,
+              std::int64_t ow_start, std::int64_t ow_len) {
+  constexpr std::int64_t kPixBlock = 8;
+  const std::int64_t plane = geom.ic * geom.oc;
+  float* yrow = img.y + (hi * img.ow + ow_start) * geom.oc;
+  std::fill(yrow, yrow + ow_len * geom.oc, 0.0f);
+  // rows[fh] is input row hi·stride + fh − ph (nullptr inside the padding).
+  const float* const* rows = img.rows + hi * stride;
+  const float* ds[kPixBlock];
+  float* ms[kPixBlock];
+  for (std::int64_t fh = 0; fh < geom.fh; ++fh) {
+    const float* xrow = rows[fh];
+    if (xrow == nullptr) continue;
+    for (std::int64_t fw = 0; fw < geom.fw; ++fw) {
+      const float* g = panel + (fh * geom.fw + fw) * plane;
+      for (std::int64_t p0 = 0; p0 < ow_len; p0 += kPixBlock) {
+        const std::int64_t nb = std::min(kPixBlock, ow_len - p0);
+        const std::int64_t iw0 = (ow_start + p0) * stride + fw - geom.pw;
+        bool any = false;
+        for (std::int64_t r = 0; r < nb; ++r) {
+          const std::int64_t iw = iw0 + r * stride;
+          ds[r] = iw >= 0 && iw < img.iw ? xrow + iw * geom.ic : nullptr;
+          ms[r] = yrow + (p0 + r) * geom.oc;
+          any = any || ds[r] != nullptr;
+        }
+        if (any) {
+          hk.axpy_rank1_multi(ds, g, ms, static_cast<int>(nb), geom.ic,
+                              geom.oc);
+        }
       }
-    }
-    float* yrow = img.y + (hi * img.ow + wo) * geom.oc;
-    for (std::int64_t oc = 0; oc < geom.oc; ++oc) {
-      yrow[oc] = hk.dot(patch, w + oc * gk, gk);
     }
   }
 }
@@ -152,8 +166,11 @@ void gemm_row(const ImageTask& img, const ConvShape& geom, const float* w,
 // from the caller's arena (valid across the blocking parallel_for below —
 // task bodies open nested scopes on their own threads' arenas).
 std::vector<ImageTask> dense_tasks(const TensorF& x, TensorF& y,
-                                   const ConvShape& s, ScratchArena& arena) {
+                                   const ConvShape& s, std::int64_t stride,
+                                   ScratchArena& arena) {
   const std::int64_t table_len = s.ih + 2 * s.ph;
+  const std::int64_t oh = strided_extent(s.oh(), stride);
+  const std::int64_t ow = strided_extent(s.ow(), stride);
   std::vector<ImageTask> tasks(static_cast<std::size_t>(s.n));
   for (std::int64_t ni = 0; ni < s.n; ++ni) {
     auto** rows = static_cast<const float**>(
@@ -162,16 +179,77 @@ std::vector<ImageTask> dense_tasks(const TensorF& x, TensorF& y,
                    s.ic, s.ph);
     ImageTask& t = tasks[static_cast<std::size_t>(ni)];
     t.rows = rows;
-    t.y = y.data() + ni * s.oh() * s.ow() * s.oc;
+    t.y = y.data() + ni * oh * ow * s.oc;
     t.ih = s.ih;
     t.iw = s.iw;
-    t.oh = s.oh();
-    t.ow = s.ow();
+    t.oh = oh;
+    t.ow = ow;
   }
   return tasks;
 }
 
+template <class Compute>
+const float* TransformMemo::get(int alpha, int r, const Compute& compute) {
+  const std::pair<int, int> geom{alpha, r};
+  for (const auto& e : memo_) {
+    if (e.first == geom) {
+      filter_transform_hits().add();
+      return e.second->data();
+    }
+  }
+  FilterTransformCache::Ghat t;
+  if (fc_.cache != nullptr) {
+    FilterTransformCache::Key key;
+    key.weights =
+        fc_.key != nullptr ? fc_.key : static_cast<const void*>(w_.data());
+    key.version = fc_.version;
+    key.alpha = alpha;
+    key.r = r;
+    key.deconv = fc_.deconv;
+    t = fc_.cache->get_or_compute(key, compute);
+  } else {
+    filter_transform_misses().add();
+    t = std::make_shared<const std::vector<float>>(compute());
+  }
+  memo_.emplace_back(geom, std::move(t));
+  return memo_.back().second->data();
+}
+
+const float* TransformMemo::ghat(const ConvShape& s, const GammaConfig& cfg) {
+  return get(cfg.alpha, cfg.r,
+             [&] { return transform_filter_host(w_, s, cfg); });
+}
+
+const float* TransformMemo::panel() {
+  return get(kGemmPanelAlpha, static_cast<int>(w_.dim(2)),
+             [&] { return gemm_panel_host(w_); });
+}
+
 }  // namespace detail
+
+namespace {
+
+/// Implicit-GEMM convolution over one OW segment at `stride`, against the
+/// weight panel; writes into `y` in place.
+void conv2d_gemm_host_segment(const TensorF& x, const float* panel,
+                              const ConvShape& s, std::int64_t stride,
+                              std::int64_t ow_start, std::int64_t ow_len,
+                              TensorF& y) {
+  const HostKernels& hk = host_kernels();
+  ScratchArena& arena = ScratchArena::local();
+  const ScratchArena::Scope scope(arena);
+  const std::vector<detail::ImageTask> tasks =
+      detail::dense_tasks(x, y, s, stride, arena);
+
+  const std::int64_t oh = tasks.front().oh;
+  const std::int64_t rows = s.n * oh;
+  parallel_for(rows, parallel_grain(rows), [&](std::int64_t row) {
+    detail::gemm_row(tasks[static_cast<std::size_t>(row / oh)], s, panel, hk,
+                     stride, row % oh, ow_start, ow_len);
+  });
+}
+
+}  // namespace
 
 void conv2d_gamma_host_segment_pretransformed(
     const TensorF& x, const float* ghat, const ConvShape& s,
@@ -188,7 +266,7 @@ void conv2d_gamma_host_segment_pretransformed(
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Scope scope(arena);
   const std::vector<detail::ImageTask> tasks =
-      detail::dense_tasks(x, y, s, arena);
+      detail::dense_tasks(x, y, s, 1, arena);
 
   const std::int64_t cols = s.n * tiles_w;
   parallel_for(cols, parallel_grain(cols), [&](std::int64_t col) {
@@ -208,32 +286,12 @@ void conv2d_gamma_host_segment(const TensorF& x, const TensorF& w,
                                            ow_len, y);
 }
 
-void conv2d_gemm_host_segment(const TensorF& x, const TensorF& w,
-                              const ConvShape& s, std::int64_t ow_start,
-                              std::int64_t ow_len, TensorF& y) {
-  s.validate();
-  const HostKernels& hk = host_kernels();
-  const std::int64_t oh = s.oh();
-
-  ScratchArena& arena = ScratchArena::local();
-  const ScratchArena::Scope scope(arena);
-  const std::vector<detail::ImageTask> tasks =
-      detail::dense_tasks(x, y, s, arena);
-
-  const std::int64_t rows = s.n * oh;
-  parallel_for(rows, parallel_grain(rows), [&](std::int64_t row) {
-    const std::int64_t ni = row / oh;
-    const std::int64_t hi = row % oh;
-    detail::gemm_row(tasks[static_cast<std::size_t>(ni)], s, w.data(), hk,
-                     hi, ow_start, ow_len);
-  });
-}
-
 TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
                           const ConvShape& s,
                           const std::vector<Segment>& plan,
-                          const FilterCacheRef& fc) {
+                          const FilterCacheRef& fc, std::int64_t stride) {
   s.validate();
+  IWG_CHECK(stride >= 1);
   IWG_CHECK(x.rank() == 4 && x.dim(0) == s.n && x.dim(1) == s.ih &&
             x.dim(2) == s.iw && x.dim(3) == s.ic);
   IWG_CHECK(w.rank() == 4 && w.dim(0) == s.oc && w.dim(1) == s.fh &&
@@ -243,49 +301,20 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
     conv_span.arg("shape", s.to_string())
         .arg("segments", static_cast<std::int64_t>(plan.size()))
         .arg("isa", host_kernels().name);
+    if (stride != 1) conv_span.arg("stride", stride);
   }
   static trace::Counter& gamma_segs =
       trace::MetricsRegistry::global().counter("conv.segments_gamma");
   static trace::Counter& gemm_segs =
       trace::MetricsRegistry::global().counter("conv.segments_gemm");
-  TensorF y({s.n, s.oh(), s.ow(), s.oc});
+  const std::int64_t ow = strided_extent(s.ow(), stride);
+  TensorF y({s.n, strided_extent(s.oh(), stride), ow, s.oc});
 
-  // Per-call ĝ memo: segments sharing (α, r) — e.g. a ruse prefix and its
-  // base mop-up — transform once even without a cross-call cache. With a
-  // cache, the memo also keeps repeat segments off the cache lock.
-  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Ghat>>
-      call_memo;
-  auto ghat_for = [&](const GammaConfig& cfg) -> FilterTransformCache::Ghat {
-    const std::pair<int, int> geom{cfg.alpha, cfg.r};
-    for (const auto& e : call_memo) {
-      if (e.first == geom) {
-        filter_transform_hits().add();
-        return e.second;
-      }
-    }
-    FilterTransformCache::Ghat ghat;
-    if (fc.cache != nullptr) {
-      FilterTransformCache::Key key;
-      key.weights = fc.key != nullptr ? fc.key
-                                      : static_cast<const void*>(w.data());
-      key.version = fc.version;
-      key.alpha = cfg.alpha;
-      key.r = cfg.r;
-      key.deconv = fc.deconv;
-      ghat = fc.cache->get_or_compute(
-          key, [&] { return transform_filter_host(w, s, cfg); });
-    } else {
-      filter_transform_misses().add();
-      ghat = std::make_shared<const std::vector<float>>(
-          transform_filter_host(w, s, cfg));
-    }
-    call_memo.emplace_back(geom, ghat);
-    return ghat;
-  };
-
+  detail::TransformMemo transforms(w, fc);
   std::int64_t covered = 0;
   for (const Segment& seg : plan) {
     IWG_CHECK_MSG(seg.ow_start == covered, "boundary plan has gaps");
+    IWG_CHECK_MSG(seg.is_gemm || stride == 1, "Γ segments need unit stride");
     IWG_TRACE_SPAN(span, seg.is_gemm ? "gemm_host" : "gamma_host", "host");
     if (span.active()) {
       span.arg("ow_start", seg.ow_start).arg("ow_len", seg.ow_len);
@@ -298,16 +327,17 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
     }
     if (seg.is_gemm) {
       gemm_segs.add();
-      conv2d_gemm_host_segment(x, w, s, seg.ow_start, seg.ow_len, y);
+      conv2d_gemm_host_segment(x, transforms.panel(), s, stride, seg.ow_start,
+                               seg.ow_len, y);
     } else {
       gamma_segs.add();
-      const FilterTransformCache::Ghat ghat = ghat_for(seg.cfg);
-      conv2d_gamma_host_segment_pretransformed(x, ghat->data(), s, seg.cfg,
-                                               seg.ow_start, seg.ow_len, y);
+      conv2d_gamma_host_segment_pretransformed(
+          x, transforms.ghat(s, seg.cfg), s, seg.cfg, seg.ow_start,
+          seg.ow_len, y);
     }
     covered += seg.ow_len;
   }
-  IWG_CHECK_MSG(covered == s.ow(), "boundary plan does not cover OW");
+  IWG_CHECK_MSG(covered == ow, "boundary plan does not cover OW");
   static trace::Distribution& arena_hw =
       trace::MetricsRegistry::global().distribution(
           "host.arena.high_water_bytes");

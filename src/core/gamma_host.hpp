@@ -16,10 +16,16 @@
 //     row-major order re-transformed each input row up to FH times);
 //   * per-task scratch lives in the thread-local ScratchArena (no heap
 //     churn inside parallel_for bodies), and the inner ĝ·d̂ accumulation is
-//     a 4-way-unrolled contiguous axpy the compiler vectorizes.
+//     the register-blocked axpy_rank1_multi;
+//   * everything that is not Γ — the §5.5 GEMM tail, the GEMM engine and
+//     every strided layer (§6.3.2) — runs one indirect implicit-GEMM body
+//     on the same kernel: per filter tap, one axpy_rank1_multi call over
+//     a cached [FH][FW][IC][OC] weight panel, input pixels as row pointers.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/gamma_config.hpp"
@@ -63,10 +69,17 @@ void gamma_tile_column(const ImageTask& img, const ConvShape& geom,
                        const float* ghat, const HostKernels& hk,
                        std::int64_t ow_start, std::int64_t tw);
 
-/// One output row of the implicit-GEMM boundary tail, same sharing story.
-void gemm_row(const ImageTask& img, const ConvShape& geom, const float* w,
-              const HostKernels& hk, std::int64_t hi, std::int64_t ow_start,
-              std::int64_t ow_len);
+/// Output row `hi`, columns [ow_start, ow_start + ow_len), of the indirect
+/// implicit GEMM at `stride` (img.oh/img.ow are the strided extents).
+/// `panel` is gemm_panel_host's [FH][FW][IC][OC]. Per filter tap, one
+/// axpy_rank1_multi call accumulates a plane (IC×OC) into blocks of up to
+/// 8 output pixels, whose input pixels arrive as tap pointers — null for
+/// zero padding, and skipped. Each output element therefore sums its terms
+/// in ascending (fh, fw, ic) order from zero. Same sharing story as
+/// gamma_tile_column.
+void gemm_row(const ImageTask& img, const ConvShape& geom, const float* panel,
+              const HostKernels& hk, std::int64_t stride, std::int64_t hi,
+              std::int64_t ow_start, std::int64_t ow_len);
 
 /// Fill a row table (length ih + 2·ph) for a densely stored image: in-bounds
 /// rows point into `x`, padding rows stay nullptr.
@@ -74,6 +87,12 @@ void fill_row_table(const float** rows, const float* x, std::int64_t ih,
                     std::int64_t iw, std::int64_t ic, std::int64_t ph);
 
 }  // namespace detail
+
+/// Output extent of a stride-`stride` convolution whose unit-stride extent
+/// is `unit` (ConvShape::oh()/ow()): (IH + 2·ph − FH) / stride + 1.
+inline std::int64_t strided_extent(std::int64_t unit, std::int64_t stride) {
+  return (unit - 1) / stride + 1;
+}
 
 /// How the host engine obtains (and possibly reuses) transformed filters.
 /// Default-constructed: no cross-call cache — transforms are still shared
@@ -86,6 +105,33 @@ struct FilterCacheRef {
   const void* key = nullptr;              ///< nullptr: use w.data()
   bool deconv = false;                    ///< backward-data transform flag
 };
+
+namespace detail {
+
+/// The filter transforms of one dispatch — ĝ per Γ geometry (α, r) and the
+/// GEMM panel — each fetched or computed once per call, through the
+/// cross-call cache when `fc` names one. A ruse prefix and its base mop-up
+/// share an entry, and repeat segments stay off the cache lock. Returned
+/// pointers live as long as the memo.
+class TransformMemo {
+ public:
+  TransformMemo(const TensorF& w, const FilterCacheRef& fc) : w_(w), fc_(fc) {}
+
+  const float* ghat(const ConvShape& s, const GammaConfig& cfg);
+  const float* panel();
+
+ private:
+  template <class Compute>
+  const float* get(int alpha, int r, const Compute& compute);
+
+  const TensorF& w_;
+  FilterCacheRef fc_;
+  std::vector<std::pair<std::pair<int, int>,
+                        std::shared_ptr<const std::vector<float>>>>
+      memo_;
+};
+
+}  // namespace detail
 
 /// Convolution over one OW segment with Γα(n,r); writes into `y` in place.
 /// `w` is the original OC,FH,FW,IC filter (transformed internally).
@@ -101,17 +147,15 @@ void conv2d_gamma_host_segment_pretransformed(
     const GammaConfig& cfg, std::int64_t ow_start, std::int64_t ow_len,
     TensorF& y);
 
-/// Implicit-GEMM convolution over one OW segment (the §5.5 boundary tail);
-/// writes into `y` in place.
-void conv2d_gemm_host_segment(const TensorF& x, const TensorF& w,
-                              const ConvShape& s, std::int64_t ow_start,
-                              std::int64_t ow_len, TensorF& y);
-
 /// Full convolution: §5.5 boundary plan over OW, Γ kernels + GEMM tail.
+/// At `stride` > 1 the output is strided_extent(s.oh(), stride) ×
+/// strided_extent(s.ow(), stride) and the plan must be GEMM segments over
+/// that width (Γ needs unit stride).
 TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
                           const ConvShape& s,
                           const std::vector<Segment>& plan,
-                          const FilterCacheRef& fc = {});
+                          const FilterCacheRef& fc = {},
+                          std::int64_t stride = 1);
 
 /// Backward-data (deconvolution) through the same engine: the filter
 /// rotation/channel swap is folded into the filter transform. A cache ref

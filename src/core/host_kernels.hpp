@@ -36,12 +36,14 @@
 //                    and axpy_rank1_multi take no coefficient matrix, so
 //                    there is nothing to skip.
 //
-//   dot              REASSOCIATED. Vector ISAs keep per-lane partial sums
-//                    and combine them in a fixed tree, so the summation
-//                    order differs from the scalar left-to-right reference:
-//                    |simd − scalar| ≤ c·n·ε·Σ|a_i·b_i| for a small
-//                    constant c. Callers needing bitwise determinism across
-//                    ISA levels must pin the ISA (IWG_HOST_ISA).
+// axpy_rank1_multi is the engine's one accumulate: the Γ state-domain
+// update, the implicit-GEMM body (one call per filter tap over an
+// [IC][OC] panel plane, input pixels as row pointers, null for padding —
+// the §5.5 GEMM tail, the GEMM engine and every strided layer) and
+// nn::Linear (one call per block of batch rows against W's [D][M]). In all
+// three, each output element's terms run in ascending k with one rounding
+// per multiply and per add on scalar and one FMA each on vector ISAs, and
+// a row's result does not depend on which rows share its block.
 //
 // Whatever the entry's contract, one fixed table is deterministic: the same
 // inputs through the same ISA give bit-identical results run to run.
@@ -103,9 +105,6 @@ struct HostKernels {
   /// (dense — zero at entries included). Contract: ULP-bounded vs scalar.
   void (*out_transform)(const float* at, int alpha, const float* m,
                         std::int64_t mstride, float* y, std::int64_t n);
-
-  /// Σ_j a[j] · b[j]. Contract: REASSOCIATED (per-lane partial sums).
-  float (*dot)(const float* a, const float* b, std::int64_t n);
 
   const char* name;  ///< "scalar" | "avx2" | "neon"
   HostIsa isa;

@@ -329,24 +329,6 @@ void out_transform_avx2(const float* at, int alpha, const float* m,
   }
 }
 
-// REASSOCIATED contract: eight per-lane partial sums combined in a fixed
-// tree, scalar tail folded in last.
-float dot_avx2(const float* a, const float* b, std::int64_t n) {
-  __m256 acc = _mm256_setzero_ps();
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + j), _mm256_loadu_ps(b + j), acc);
-  }
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-  float total = _mm_cvtss_f32(s);
-  for (; j < n; ++j) total = std::fmaf(a[j], b[j], total);
-  return total;
-}
-
 }  // namespace
 
 const HostKernels* host_kernels_avx2() {
@@ -355,8 +337,7 @@ const HostKernels* host_kernels_avx2() {
   static const HostKernels table = {
       transform_cols_avx2, axpy_rank1_avx2, axpy_rank1_multi_avx2,
       saxpy_avx2,          out_transform_avx2,
-      dot_avx2,            "avx2",
-      HostIsa::kAvx2,
+      "avx2",              HostIsa::kAvx2,
   };
   return &table;
 }

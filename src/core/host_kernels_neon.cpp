@@ -313,25 +313,13 @@ void out_transform_neon(const float* at, int alpha, const float* m,
   }
 }
 
-float dot_neon(const float* a, const float* b, std::int64_t n) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  std::int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    acc = vfmaq_f32(acc, vld1q_f32(a + j), vld1q_f32(b + j));
-  }
-  float total = vaddvq_f32(acc);
-  for (; j < n; ++j) total = std::fmaf(a[j], b[j], total);
-  return total;
-}
-
 }  // namespace
 
 const HostKernels* host_kernels_neon() {
   static const HostKernels table = {
       transform_cols_neon, axpy_rank1_neon, axpy_rank1_multi_neon,
       saxpy_neon,          out_transform_neon,
-      dot_neon,            "neon",
-      HostIsa::kNeon,
+      "neon",              HostIsa::kNeon,
   };
   return &table;
 }

@@ -97,20 +97,13 @@ void out_transform_scalar(const float* at, int alpha, const float* m,
   }
 }
 
-float dot_scalar(const float* a, const float* b, std::int64_t n) {
-  float acc = 0.0f;
-  for (std::int64_t j = 0; j < n; ++j) acc += a[j] * b[j];
-  return acc;
-}
-
 }  // namespace
 
 const HostKernels& host_kernels_scalar() {
   static const HostKernels table = {
       transform_cols_scalar, axpy_rank1_scalar, axpy_rank1_multi_scalar,
       saxpy_scalar,          out_transform_scalar,
-      dot_scalar,            "scalar",
-      HostIsa::kScalar,
+      "scalar",              HostIsa::kScalar,
   };
   return table;
 }

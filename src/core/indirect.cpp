@@ -1,13 +1,11 @@
 #include "core/indirect.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "core/conv_api.hpp"
-#include "core/filter_cache.hpp"
 #include "core/host_kernels.hpp"
 #include "winograd/plan.hpp"
 
@@ -15,7 +13,9 @@ namespace iwg::core {
 
 IndirectionTable build_indirection_table(std::span<const ImageView> images,
                                          const ConvShape& geom,
-                                         ScratchArena& arena) {
+                                         ScratchArena& arena,
+                                         std::int64_t stride) {
+  IWG_CHECK(stride >= 1);
   IndirectionTable table;
   table.images.reserve(images.size());
   table.image_class.reserve(images.size());
@@ -48,8 +48,8 @@ IndirectionTable build_indirection_table(std::span<const ImageView> images,
     t.y = v.y;
     t.ih = s.ih;
     t.iw = s.iw;
-    t.oh = s.oh();
-    t.ow = s.ow();
+    t.oh = strided_extent(s.oh(), stride);
+    t.ow = strided_extent(s.ow(), stride);
     table.images.push_back(t);
     table.image_class.push_back(cls);
   }
@@ -58,7 +58,8 @@ IndirectionTable build_indirection_table(std::span<const ImageView> images,
 
 void conv2d_gamma_host_indirect(std::span<const ImageView> images,
                                 const TensorF& w, const ConvShape& geom,
-                                const IndirectOptions& opts) {
+                                const IndirectOptions& opts,
+                                std::int64_t stride) {
   if (images.empty()) return;
   IWG_CHECK(w.rank() == 4 && w.dim(0) == geom.oc && w.dim(1) == geom.fh &&
             w.dim(2) == geom.fw && w.dim(3) == geom.ic);
@@ -67,7 +68,8 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
   // bodies open nested scopes on their own threads' arenas.
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Scope scope(arena);
-  const IndirectionTable table = build_indirection_table(images, geom, arena);
+  const IndirectionTable table =
+      build_indirection_table(images, geom, arena, stride);
 
   IWG_TRACE_SPAN(span, "conv2d_host_indirect", "host");
   if (span.active()) {
@@ -88,48 +90,21 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
 
   // One boundary plan per shape class — plan_for depends only on OW, FW and
   // the flags, so this is the plan the dense path would pick for a batch-1
-  // dispatch of the same image (the bitwise-parity anchor).
+  // dispatch of the same image (the bitwise-parity anchor). A strided
+  // dispatch is one GEMM segment over the strided width, as in
+  // conv2d_strided.
   ConvOptions copts;
   copts.use_winograd = opts.use_winograd;
   copts.allow_ruse = opts.allow_ruse;
   copts.allow_c64 = opts.allow_c64;
   std::vector<std::vector<Segment>> plans;
   plans.reserve(table.classes.size());
-  for (const ConvShape& s : table.classes) plans.push_back(plan_for(s, copts));
+  for (const ConvShape& s : table.classes) {
+    plans.push_back(stride == 1 ? plan_for(s, copts)
+                                : gemm_plan(strided_extent(s.ow(), stride)));
+  }
 
-  // ĝ memo per (α, r) across every class's segments, through the cross-call
-  // cache when the caller provides one (same keying as conv2d_gamma_host).
-  std::vector<std::pair<std::pair<int, int>, FilterTransformCache::Ghat>>
-      call_memo;
-  auto ghat_for = [&](const GammaConfig& cfg,
-                      const ConvShape& s) -> const float* {
-    const std::pair<int, int> key_geom{cfg.alpha, cfg.r};
-    for (const auto& e : call_memo) {
-      if (e.first == key_geom) {
-        filter_transform_hits().add();
-        return e.second->data();
-      }
-    }
-    FilterTransformCache::Ghat ghat;
-    if (opts.fc.cache != nullptr) {
-      FilterTransformCache::Key key;
-      key.weights = opts.fc.key != nullptr
-                        ? opts.fc.key
-                        : static_cast<const void*>(w.data());
-      key.version = opts.fc.version;
-      key.alpha = cfg.alpha;
-      key.r = cfg.r;
-      key.deconv = opts.fc.deconv;
-      ghat = opts.fc.cache->get_or_compute(
-          key, [&] { return transform_filter_host(w, s, cfg); });
-    } else {
-      filter_transform_misses().add();
-      ghat = std::make_shared<const std::vector<float>>(
-          transform_filter_host(w, s, cfg));
-    }
-    call_memo.emplace_back(key_geom, std::move(ghat));
-    return call_memo.back().second->data();
-  };
+  detail::TransformMemo transforms(w, opts.fc);
 
   // Flatten every (image, segment) into a run of independent unit tasks —
   // Γ tile columns or GEMM output rows — and dispatch them under ONE
@@ -139,7 +114,7 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
     const ConvShape* s;
     const Segment* seg;
     const WinogradPlan* plan;  // nullptr for GEMM segments
-    const float* ghat;         // nullptr for GEMM segments
+    const float* weights;      // ĝ, or the GEMM panel
     std::int64_t begin;        // global unit offset of this chunk
   };
   std::vector<Chunk> chunks;
@@ -152,17 +127,16 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
       c.img = &table.images[i];
       c.s = &s;
       c.seg = &seg;
+      c.begin = total;
       if (seg.is_gemm) {
         gemm_segs.add();
         c.plan = nullptr;
-        c.ghat = nullptr;
-        c.begin = total;
-        total += s.oh();
+        c.weights = transforms.panel();
+        total += table.images[i].oh;
       } else {
         gamma_segs.add();
         c.plan = &get_plan(seg.cfg.n, seg.cfg.r);
-        c.ghat = ghat_for(seg.cfg, s);
-        c.begin = total;
+        c.weights = transforms.ghat(s, seg.cfg);
         total += seg.ow_len / seg.cfg.n;
       }
       chunks.push_back(c);
@@ -170,7 +144,6 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
   }
 
   const HostKernels& hk = host_kernels();
-  const float* wdata = w.data();
   parallel_for(total, parallel_grain(total), [&](std::int64_t u) {
     // Locate the chunk containing unit u (last chunk with begin <= u).
     const auto it = std::upper_bound(
@@ -179,10 +152,10 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
     const Chunk& c = *(it - 1);
     const std::int64_t local = u - c.begin;
     if (c.seg->is_gemm) {
-      detail::gemm_row(*c.img, *c.s, wdata, hk, local, c.seg->ow_start,
-                       c.seg->ow_len);
+      detail::gemm_row(*c.img, *c.s, c.weights, hk, stride, local,
+                       c.seg->ow_start, c.seg->ow_len);
     } else {
-      detail::gamma_tile_column(*c.img, *c.s, c.seg->cfg, *c.plan, c.ghat,
+      detail::gamma_tile_column(*c.img, *c.s, c.seg->cfg, *c.plan, c.weights,
                                 hk, c.seg->ow_start, local);
     }
   });

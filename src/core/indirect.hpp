@@ -15,8 +15,9 @@
 // run — so per-image outputs are bitwise identical to a dense batch-1
 // dispatch of the same image by construction. Each distinct (IH, IW) shape
 // class gets the §5.5 boundary plan the dense path would pick (plans depend
-// only on OW, FW and the option flags, never on N), and the flattened
-// (image, segment) task list runs under a single parallel_for.
+// only on OW, FW and the option flags, never on N; a strided dispatch is
+// GEMM over the whole strided width), and the flattened (image, segment)
+// task list runs under a single parallel_for.
 #pragma once
 
 #include <cstdint>
@@ -65,18 +66,22 @@ struct IndirectionTable {
   std::vector<int> image_class;
 };
 
-/// Build the table for a dispatch (validates every image's shape).
+/// Build the table for a dispatch (validates every image's shape). Each
+/// image's oh/ow are its extents at `stride`.
 IndirectionTable build_indirection_table(std::span<const ImageView> images,
                                          const ConvShape& geom,
-                                         ScratchArena& arena);
+                                         ScratchArena& arena,
+                                         std::int64_t stride = 1);
 
-/// Unit-stride NHWC convolution of every view in one dispatch. `geom`
-/// supplies the shared fields (ic/oc/fh/fw/ph/pw); its n/ih/iw are ignored
-/// — spatial extents are per image. Outputs are written into each view's
-/// `y` and are bitwise identical to `conv2d` run per image with matching
+/// NHWC convolution of every view in one dispatch. `geom` supplies the
+/// shared fields (ic/oc/fh/fw/ph/pw); its n/ih/iw are ignored — spatial
+/// extents are per image. At `stride` > 1 every image runs the implicit
+/// GEMM and each view's `y` holds the strided output. Outputs are bitwise
+/// identical to `conv2d` / `conv2d_strided` run per image with matching
 /// options.
 void conv2d_gamma_host_indirect(std::span<const ImageView> images,
                                 const TensorF& w, const ConvShape& geom,
-                                const IndirectOptions& opts = {});
+                                const IndirectOptions& opts = {},
+                                std::int64_t stride = 1);
 
 }  // namespace iwg::core

@@ -10,9 +10,9 @@
 #include "core/conv_api.hpp"
 #include "core/filter_cache.hpp"
 #include "core/gamma_host.hpp"
+#include "core/host_kernels.hpp"
 #include "core/indirect.hpp"
 #include "core/plan_cache.hpp"
-#include "reference/direct_conv.hpp"
 #include "reference/im2col_gemm.hpp"
 
 namespace iwg::nn {
@@ -244,15 +244,14 @@ ConvShape Conv2D::shape_for(const TensorF& x) const {
 }
 
 TensorF Conv2D::convolve(const TensorF& x, const ConvShape& s) const {
-  if (stride_ != 1) {
-    return ref::conv2d_implicit_gemm_strided(x, w_.value, s, stride_, stride_);
-  }
   // Param storage is stable and `version` is bumped on every update, so
   // the forward, the backward, and every later call until the next
-  // optimizer step share one filter transform per Γ geometry.
+  // optimizer step share one filter transform per Γ geometry (and one
+  // GEMM panel).
   core::ConvOptions opts = options_for(engine_);
   opts.filter_cache = &core::FilterTransformCache::global();
   opts.weights_version = w_.version;
+  if (stride_ != 1) return core::conv2d_strided(x, w_.value, s, stride_, opts);
   if (tuned_ && s == tuned_shape_) {
     return core::conv2d(x, w_.value, s, tuned_->executable_plan(s), opts);
   }
@@ -280,32 +279,27 @@ TensorF Conv2D::infer(const TensorF& x, const ConvEpilogue& ep) const {
 std::vector<TensorF> Conv2D::infer_ragged(const std::vector<TensorF>& xs,
                                           const ConvEpilogue& ep) const {
   IWG_CHECK_MSG(ep.skip == nullptr, "infer_ragged takes no skip tensor");
-  // Strided layers have no indirect path — keep the per-image baseline.
-  if (stride_ != 1 || xs.empty()) {
-    std::vector<TensorF> ys;
-    ys.reserve(xs.size());
-    for (const TensorF& x : xs) ys.push_back(infer(x, ep));
-    return ys;
-  }
+  if (xs.empty()) return {};
   const std::int64_t oc = w_.value.dim(0);
   // Dispatch-wide geometry (channels/filter/padding); spatial extents are
   // per image. plan_for never sees N, and the indirect entry reuses the
   // dense task bodies, so each image's output matches batch-1 infer() bit
-  // for bit.
+  // for bit — strided layers included.
   const ConvShape geom = shape_for(xs.front());
   std::vector<TensorF> ys(xs.size());
   std::vector<core::ImageView> views(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const ConvShape si = shape_for(xs[i]);
     IWG_CHECK_MSG(si.n == 1, "infer_ragged expects one image per tensor");
-    ys[i].reset({1, si.oh(), si.ow(), oc});
+    ys[i].reset({1, core::strided_extent(si.oh(), stride_),
+                 core::strided_extent(si.ow(), stride_), oc});
     views[i] = core::ImageView{xs[i].data(), ys[i].data(), si.ih, si.iw};
   }
   core::IndirectOptions opts;
   opts.use_winograd = engine_ == ConvEngine::kWinograd;
   opts.fc.cache = &core::FilterTransformCache::global();
   opts.fc.version = w_.version;
-  core::conv2d_gamma_host_indirect(views, w_.value, geom, opts);
+  core::conv2d_gamma_host_indirect(views, w_.value, geom, opts, stride_);
   for (TensorF& y : ys) run_epilogue(y, b_.value.data(), ep);
   return ys;
 }
@@ -323,8 +317,8 @@ Dims4 Conv2D::pretune(const Dims4& in, AutotuneContext& ctx) {
   s.pw = pad_;
   Dims4 out;
   out.n = in.n;
-  out.h = (in.h + 2 * pad_ - fsize_) / stride_ + 1;
-  out.w = (in.w + 2 * pad_ - fsize_) / stride_ + 1;
+  out.h = core::strided_extent(s.oh(), stride_);
+  out.w = core::strided_extent(s.ow(), stride_);
   out.c = s.oc;
   // Only unit-stride Winograd layers go through the tuned path; strided
   // layers always run the GEMM fallback, and the kGemm engine is the
@@ -707,22 +701,7 @@ Linear::Linear(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,
 }
 
 TensorF Linear::forward(const TensorF& x, bool train) {
-  IWG_CHECK(x.rank() == 2 && x.dim(1) == w_.value.dim(0));
-  const std::int64_t n = x.dim(0);
-  const std::int64_t d = x.dim(1);
-  const std::int64_t m = w_.value.dim(1);
-  TensorF y({n, m});
-  parallel_for(n, [&](std::int64_t i) {
-    float* yr = y.data() + i * m;
-    for (std::int64_t j = 0; j < m; ++j) yr[j] = b_.value[j];
-    const float* xr = x.data() + i * d;
-    for (std::int64_t k = 0; k < d; ++k) {
-      const float xv = xr[k];
-      if (xv == 0.0f) continue;
-      const float* wr = w_.value.data() + k * m;
-      for (std::int64_t j = 0; j < m; ++j) yr[j] += xv * wr[j];
-    }
-  });
+  TensorF y = infer(x);
   if (train) {
     x_cache_ = x;
   } else {
@@ -737,17 +716,24 @@ TensorF Linear::infer(const TensorF& x) const {
   const std::int64_t d = x.dim(1);
   const std::int64_t m = w_.value.dim(1);
   TensorF y({n, m});
-  parallel_for(n, [&](std::int64_t i) {
-    float* yr = y.data() + i * m;
-    for (std::int64_t j = 0; j < m; ++j) yr[j] = b_.value[j];
-    const float* xr = x.data() + i * d;
-    for (std::int64_t k = 0; k < d; ++k) {
-      const float xv = xr[k];
-      if (xv == 0.0f) continue;
-      const float* wr = w_.value.data() + k * m;
-      for (std::int64_t j = 0; j < m; ++j) yr[j] += xv * wr[j];
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::copy_n(b_.value.data(), m, y.data() + i * m);
+  }
+  // W is (D, M), the kernel's g[k·nj + j]: one blocked rank-1 accumulate
+  // per 8 batch rows, inline — a fork costs more than the whole layer.
+  const core::HostKernels& hk = core::host_kernels();
+  constexpr std::int64_t kRows = 8;
+  const float* xs[kRows];
+  float* ys[kRows];
+  for (std::int64_t i0 = 0; i0 < n; i0 += kRows) {
+    const std::int64_t rows = std::min(kRows, n - i0);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      xs[r] = x.data() + (i0 + r) * d;
+      ys[r] = y.data() + (i0 + r) * m;
     }
-  });
+    hk.axpy_rank1_multi(xs, w_.value.data(), ys, static_cast<int>(rows), d,
+                        m);
+  }
   return y;
 }
 

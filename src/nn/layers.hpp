@@ -34,7 +34,9 @@ struct ConvEpilogue {
 
 /// 2-D convolution, NHWC, square filter, stride 1 or 2.
 /// Unit-stride layers run on the configured engine (Winograd or GEMM);
-/// strided layers always fall back to implicit GEMM, as in the paper.
+/// strided layers run the host engine's implicit GEMM in both engines, as
+/// in the paper (§6.3.2). Either way the non-Γ work is one rank-1 body
+/// over a cached weight panel (core::conv2d_strided).
 class Conv2D final : public Layer {
  public:
   Conv2D(std::int64_t in_ch, std::int64_t out_ch, std::int64_t fsize,
@@ -50,9 +52,9 @@ class Conv2D final : public Layer {
   TensorF infer(const TensorF& x) const override { return infer(x, {}); }
   /// infer() followed by the layers `ep` names, fused into its bias pass.
   TensorF infer(const TensorF& x, const ConvEpilogue& ep) const;
-  /// Mixed-shape batch: every unit-stride image runs in ONE indirect Γ
-  /// dispatch (conv2d_gamma_host_indirect); strided layers fall back to the
-  /// per-image default. Bitwise identical per image to infer().
+  /// Mixed-shape batch: every image runs in ONE indirect dispatch
+  /// (conv2d_gamma_host_indirect) — Γ plus GEMM tail at unit stride, the
+  /// implicit GEMM at stride 2. Bitwise identical per image to infer().
   std::vector<TensorF> infer_ragged(
       const std::vector<TensorF>& xs) const override {
     return infer_ragged(xs, {});
@@ -194,7 +196,11 @@ class Flatten final : public Layer {
   std::int64_t n_ = 0, h_ = 0, w_ = 0, c_ = 0;
 };
 
-/// Fully connected layer: (N, D) → (N, M).
+/// Fully connected layer: (N, D) → (N, M). Forward and infer are one
+/// code path: bias rows, then one axpy_rank1_multi call per block of 8
+/// batch rows against W (D, M). Each output sums its D products in
+/// ascending order with no zero skipping, so 0·inf gives NaN as IEEE
+/// arithmetic does, and a row's result does not depend on the batch size.
 class Linear final : public Layer {
  public:
   Linear(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "common/trace.hpp"
@@ -83,74 +86,53 @@ trace::Counter& mode_indirect_counter() {
   return c;
 }
 
+trace::Counter& errors_counter() {
+  static trace::Counter& c =
+      trace::MetricsRegistry::global().counter("serve.errors");
+  return c;
+}
+
+trace::Histogram& error_latency_hist() {
+  static trace::Histogram& h =
+      trace::MetricsRegistry::global().histogram("serve.latency_us.error");
+  return h;
+}
+
+/// Runs `f`; the exception text if it throws, nullopt otherwise.
+template <class F>
+std::optional<std::string> run_catching(const F& f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  } catch (...) {
+    return std::string("unknown exception");
+  }
+  return std::nullopt;
+}
+
+/// A request's image as its own N = 1 tensor.
+TensorF as_batch1(const TensorF& img) {
+  TensorF x({1, img.dim(0), img.dim(1), img.dim(2)});
+  std::memcpy(x.data(), img.data(),
+              static_cast<std::size_t>(img.size()) * sizeof(float));
+  return x;
+}
+
 trace::Histogram& shape_classes_hist() {
   static trace::Histogram& h =
       trace::MetricsRegistry::global().histogram("serve.batch.shape_classes");
   return h;
 }
 
-}  // namespace
-
-TenantMetrics& TenantMetrics::of(const std::string& tenant_id) {
-  // Registry entries live for the process; this map just memoizes the
-  // four name lookups per tenant so the hot path stays a map find.
-  static std::mutex mu;
-  static auto& map =
-      *new std::unordered_map<std::string, std::unique_ptr<TenantMetrics>>();
-  std::lock_guard lock(mu);
-  auto it = map.find(tenant_id);
-  if (it == map.end()) {
-    auto& reg = trace::MetricsRegistry::global();
-    const std::string p = "serve.tenant." + tenant_id + ".";
-    it = map.emplace(tenant_id,
-                     std::unique_ptr<TenantMetrics>(new TenantMetrics{
-                         reg.counter(p + "completed"),
-                         reg.counter(p + "rejected"),
-                         reg.counter(p + "expired"),
-                         reg.counter(p + "deadline_missed"),
-                         reg.histogram(p + "latency_us")}))
-             .first;
-  }
-  return *it->second;
-}
-
-std::chrono::microseconds resolve_flush_period(
-    std::chrono::microseconds configured) {
-  const char* env = std::getenv("IWG_REPORT_FLUSH_MS");
-  if (env == nullptr || *env == '\0') return configured;
-  char* end = nullptr;
-  const long ms = std::strtol(env, &end, 10);
-  if (end == env || ms < 0) return configured;  // unparsable: keep config
-  return std::chrono::microseconds(static_cast<std::int64_t>(ms) * 1000);
-}
-
-DispatchResult run_model_batch(const nn::Model& model,
-                               std::vector<Request>& batch,
-                               const DispatchSpec& spec) {
-  IWG_CHECK_MSG(!batch.empty(), "run_model_batch needs a nonempty batch");
+/// The batch's one model dispatch: stage the images (one dense tensor of
+/// `n` slots, or per-image tensors for a ragged batch), run the model and
+/// slice each request's output (leading dim 1) into `outs`. `dispatch` is
+/// stamped after staging, `done` when the model returns.
+void dispatch_batch(const nn::Model& model, std::vector<Request>& batch,
+                    bool indirect, std::int64_t n, std::vector<TensorF>& outs,
+                    Clock::time_point& dispatch, Clock::time_point& done) {
   const std::size_t k = batch.size();
-  const bool indirect = spec.indirect;
-  const std::int64_t n =
-      !indirect && spec.pad_to > 0
-          ? std::max(spec.pad_to, static_cast<std::int64_t>(k))
-          : static_cast<std::int64_t>(k);
-  const std::int64_t padded = indirect ? 0 : n - static_cast<std::int64_t>(k);
-
-  // The batch span (and everything nested under it — the model's conv
-  // spans included) inherits the batch leader's context, so the leader's
-  // flow chain reaches into the actual compute in the trace view.
-  trace::ContextScope lead_scope(batch.front().ctx);
-  IWG_TRACE_SPAN(span, "serve.batch", "serve");
-  span.arg("batch_size", static_cast<std::int64_t>(k))
-      .arg("padded_slots", padded)
-      .arg("mode", indirect ? "indirect" : "dense")
-      .arg("shape_classes", static_cast<std::int64_t>(spec.shape_classes));
-  if (!spec.tenant.empty()) span.arg("tenant", spec.tenant);
-
-  // Per-request outputs, each with leading dim 1.
-  std::vector<TensorF> outs(k);
-  Clock::time_point dispatch;
-  Clock::time_point done;
   if (indirect) {
     // Mixed shapes: stage each image as its own N = 1 tensor and run the
     // whole set through ONE ragged dispatch per layer. Outputs come back
@@ -161,10 +143,7 @@ DispatchResult run_model_batch(const nn::Model& model,
       IWG_TRACE_SPAN(dispatch_span, "serve.dispatch", "serve");
       dispatch_span.arg("batch_size", static_cast<std::int64_t>(k))
           .arg("slot", static_cast<std::int64_t>(i));
-      const TensorF& img = batch[i].input;
-      xs[i].reset({1, img.dim(0), img.dim(1), img.dim(2)});
-      std::memcpy(xs[i].data(), img.data(),
-                  static_cast<std::size_t>(img.size()) * sizeof(float));
+      xs[i] = as_batch1(batch[i].input);
     }
     dispatch = Clock::now();
     outs = model.infer_ragged(xs);
@@ -206,6 +185,87 @@ DispatchResult run_model_batch(const nn::Model& model,
                   static_cast<std::size_t>(per) * sizeof(float));
     }
   }
+}
+
+}  // namespace
+
+TenantMetrics& TenantMetrics::of(const std::string& tenant_id) {
+  // Registry entries live for the process; this map just memoizes the
+  // four name lookups per tenant so the hot path stays a map find.
+  static std::mutex mu;
+  static auto& map =
+      *new std::unordered_map<std::string, std::unique_ptr<TenantMetrics>>();
+  std::lock_guard lock(mu);
+  auto it = map.find(tenant_id);
+  if (it == map.end()) {
+    auto& reg = trace::MetricsRegistry::global();
+    const std::string p = "serve.tenant." + tenant_id + ".";
+    it = map.emplace(tenant_id,
+                     std::unique_ptr<TenantMetrics>(new TenantMetrics{
+                         reg.counter(p + "completed"),
+                         reg.counter(p + "rejected"),
+                         reg.counter(p + "expired"),
+                         reg.counter(p + "deadline_missed"),
+                         reg.counter(p + "errors"),
+                         reg.histogram(p + "latency_us")}))
+             .first;
+  }
+  return *it->second;
+}
+
+std::chrono::microseconds resolve_flush_period(
+    std::chrono::microseconds configured) {
+  const char* env = std::getenv("IWG_REPORT_FLUSH_MS");
+  if (env == nullptr || *env == '\0') return configured;
+  char* end = nullptr;
+  const long ms = std::strtol(env, &end, 10);
+  if (end == env || ms < 0) return configured;  // unparsable: keep config
+  return std::chrono::microseconds(static_cast<std::int64_t>(ms) * 1000);
+}
+
+DispatchResult run_model_batch(const nn::Model& model,
+                               std::vector<Request>& batch,
+                               const DispatchSpec& spec) {
+  IWG_CHECK_MSG(!batch.empty(), "run_model_batch needs a nonempty batch");
+  const std::size_t k = batch.size();
+  const bool indirect = spec.indirect;
+  const std::int64_t n =
+      !indirect && spec.pad_to > 0
+          ? std::max(spec.pad_to, static_cast<std::int64_t>(k))
+          : static_cast<std::int64_t>(k);
+  const std::int64_t padded = indirect ? 0 : n - static_cast<std::int64_t>(k);
+
+  // The batch span (and everything nested under it — the model's conv
+  // spans included) inherits the batch leader's context, so the leader's
+  // flow chain reaches into the actual compute in the trace view.
+  trace::ContextScope lead_scope(batch.front().ctx);
+  IWG_TRACE_SPAN(span, "serve.batch", "serve");
+  span.arg("batch_size", static_cast<std::int64_t>(k))
+      .arg("padded_slots", padded)
+      .arg("mode", indirect ? "indirect" : "dense")
+      .arg("shape_classes", static_cast<std::int64_t>(spec.shape_classes));
+  if (!spec.tenant.empty()) span.arg("tenant", spec.tenant);
+
+  // Per-request outputs, each with leading dim 1.
+  std::vector<TensorF> outs(k);
+  Clock::time_point dispatch = Clock::now();
+  Clock::time_point done;
+  const std::optional<std::string> batch_error = run_catching([&] {
+    dispatch_batch(model, batch, indirect, n, outs, dispatch, done);
+  });
+
+  // A throwing batch is rerun one request at a time as batch-1 dense
+  // infer — the offline reference — so one bad request fails alone.
+  std::vector<std::optional<std::string>> errors(k);
+  std::int64_t failed = 0;
+  if (batch_error.has_value()) {
+    for (std::size_t i = 0; i < k; ++i) {
+      errors[i] = run_catching(
+          [&] { outs[i] = model.infer(as_batch1(batch[i].input)); });
+      if (errors[i].has_value()) ++failed;
+    }
+    done = Clock::now();
+  }
 
   TenantMetrics* tm =
       spec.tenant.empty() ? nullptr : &TenantMetrics::of(spec.tenant);
@@ -223,6 +283,15 @@ DispatchResult run_model_batch(const nn::Model& model,
                           .count();
     complete_span.arg("latency_us", resp.latency_us)
         .arg("queue_us", resp.queue_us);
+    if (errors[i].has_value()) {
+      resp.status = Status::kError;
+      resp.reason = std::move(*errors[i]);
+      errors_counter().add();
+      error_latency_hist().record(resp.latency_us);
+      if (tm != nullptr) tm->errors.add();
+      batch[i].promise.set_value(std::move(resp));
+      continue;
+    }
     resp.output = std::move(outs[i]);
     queue_wait_hist().record(resp.queue_us);
     latency_hist().record(resp.latency_us);
@@ -249,11 +318,13 @@ DispatchResult run_model_batch(const nn::Model& model,
   (indirect ? mode_indirect_counter() : mode_dense_counter()).add();
   shape_classes_hist().record(static_cast<double>(spec.shape_classes));
   padded_counter().add(padded);
-  completed_counter().add(static_cast<std::int64_t>(k));
-  if (tm != nullptr) tm->completed.add(static_cast<std::int64_t>(k));
+  const std::int64_t completed = static_cast<std::int64_t>(k) - failed;
+  completed_counter().add(completed);
+  if (tm != nullptr) tm->completed.add(completed);
 
   DispatchResult res;
-  res.completed = static_cast<std::int64_t>(k);
+  res.completed = completed;
+  res.failed = failed;
   res.padded_slots = padded;
   res.indirect = indirect;
   return res;

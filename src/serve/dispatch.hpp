@@ -5,7 +5,8 @@
 // execute them identically: stage the requests' images, run ONE model
 // dispatch (dense batch tensor or ragged indirect), slice per-request
 // outputs back out, and resolve every promise kOk with queue/latency
-// accounting. run_model_batch is that common core, moved out of
+// accounting. A batch whose dispatch throws is rerun one request at a
+// time, so only the requests that still throw resolve kError. run_model_batch is that common core, moved out of
 // ServingSession so the fleet does not duplicate the metrics contract —
 // both paths feed the same serve.* counters and histograms, and batches
 // tagged with a tenant id additionally feed the per-tenant family
@@ -24,7 +25,7 @@
 namespace iwg::serve {
 
 /// Per-tenant serve metrics. Registered lazily on first use under
-/// `serve.tenant.<id>.{completed,rejected,expired,deadline_missed,
+/// `serve.tenant.<id>.{completed,rejected,expired,deadline_missed,errors,
 /// latency_us}` — names the Prometheus exposition rewrites into one metric
 /// family per suffix with the tenant id as a `{tenant="..."}` label.
 /// References are stable for the process lifetime (MetricsRegistry never
@@ -36,6 +37,7 @@ struct TenantMetrics {
   trace::Counter& rejected;
   trace::Counter& expired;
   trace::Counter& deadline_missed;  ///< served, but past the deadline
+  trace::Counter& errors;           ///< resolved kError (the model threw)
   trace::Histogram& latency_us;
 
   static TenantMetrics& of(const std::string& tenant_id);
@@ -63,15 +65,19 @@ struct DispatchSpec {
 };
 
 struct DispatchResult {
-  std::int64_t completed = 0;     ///< requests resolved kOk (= batch size)
+  std::int64_t completed = 0;     ///< requests resolved kOk
+  std::int64_t failed = 0;        ///< requests resolved kError
   std::int64_t padded_slots = 0;  ///< zero slots added to the dense tensor
   bool indirect = false;          ///< executed as a ragged dispatch
 };
 
 /// Execute one nonempty micro-batch through `model` and resolve every
-/// request's promise kOk. Thread-safe for concurrent calls on one model
-/// (Model::infer / infer_ragged are const and concurrent); the caller owns
-/// any weight-swap synchronization around the model reference.
+/// request's promise: kOk, or kError with the exception text for a request
+/// that throws on its own (the batch is rerun one request at a time after
+/// a throw, so batch-mates still serve, bitwise equal to batch-1 infer).
+/// Thread-safe for concurrent calls on one model (Model::infer /
+/// infer_ragged are const and concurrent); the caller owns any weight-swap
+/// synchronization around the model reference.
 DispatchResult run_model_batch(const nn::Model& model,
                                std::vector<Request>& batch,
                                const DispatchSpec& spec);

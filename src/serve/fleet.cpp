@@ -182,11 +182,14 @@ std::future<Response> FleetScheduler::submit_impl(
   }
   auto pos = st.q.end();
   if (cfg_.order == TenantOrder::kEdf && r.deadline.has_deadline()) {
-    // Deadline-sorted insertion: before the first request that is
-    // deadline-less or strictly later (FIFO among equal deadlines).
-    pos = std::find_if(st.q.begin(), st.q.end(), [&](const Request& o) {
-      return !o.deadline.has_deadline() || o.deadline.at() > r.deadline.at();
-    });
+    // Deadline-sorted insertion: after the last request with a deadline no
+    // later than this one (FIFO among equal deadlines, deadline-less last).
+    // Searched from the back, where an arrival that shares the tenant's
+    // default deadline lands, so a backlog burst stays O(1) per submit.
+    pos = std::find_if(st.q.rbegin(), st.q.rend(), [&](const Request& o) {
+            return o.deadline.has_deadline() &&
+                   o.deadline.at() <= r.deadline.at();
+          }).base();
   }
   st.q.insert(pos, std::move(r));
   st.accepted.fetch_add(1, std::memory_order_relaxed);
@@ -198,10 +201,14 @@ std::future<Response> FleetScheduler::submit_impl(
 }
 
 void FleetScheduler::shed_expired_locked(Clock::time_point now) {
+  // An EDF queue is deadline-sorted with deadline-less requests last, so
+  // its expired requests are a prefix: stop at the first live one.
+  const bool sorted = cfg_.order == TenantOrder::kEdf;
   for (auto& [id, sp] : states_) {
     TenantState& st = *sp;
     for (auto it = st.q.begin(); it != st.q.end();) {
       if (!it->deadline.expired(now)) {
+        if (sorted) break;
         ++it;
         continue;
       }
@@ -290,6 +297,7 @@ void FleetScheduler::run_batch(WorkItem& item) {
     res = run_model_batch(item.st->tenant->model, item.requests, spec);
   }
   item.st->completed.fetch_add(res.completed, std::memory_order_relaxed);
+  item.st->errors.fetch_add(res.failed, std::memory_order_relaxed);
   item.st->batches.fetch_add(1, std::memory_order_relaxed);
   if (res.indirect) {
     item.st->indirect_batches.fetch_add(1, std::memory_order_relaxed);
@@ -406,6 +414,7 @@ void FleetScheduler::accumulate(TenantStats& into, const TenantState& st) {
   into.rejected += st.rejected.load();
   into.expired += st.expired.load();
   into.shed += st.shed.load();
+  into.errors += st.errors.load();
   into.batches += st.batches.load();
   into.indirect_batches += st.indirect_batches.load();
 }
@@ -425,6 +434,7 @@ FleetScheduler::Stats FleetScheduler::stats() const {
     s.total.rejected += ts.rejected;
     s.total.expired += ts.expired;
     s.total.shed += ts.shed;
+    s.total.errors += ts.errors;
     s.total.batches += ts.batches;
     s.total.indirect_batches += ts.indirect_batches;
   }
@@ -477,6 +487,7 @@ std::string FleetScheduler::statusz_json() const {
        << ",\"completed\":" << sp->completed.load(std::memory_order_relaxed)
        << ",\"rejected\":" << sp->rejected.load(std::memory_order_relaxed)
        << ",\"expired\":" << sp->expired.load(std::memory_order_relaxed)
+       << ",\"errors\":" << sp->errors.load(std::memory_order_relaxed)
        << '}';
   }
   os << "},\"global_vtime\":" << global_vtime_

@@ -24,7 +24,11 @@
 //   * WITHIN a tenant — earliest deadline first (TenantOrder::kEdf,
 //     default): submissions insert in deadline order (no-deadline last,
 //     FIFO among ties), so the batch assembled under overload spends the
-//     model's time on the requests that can still make their SLO.
+//     model's time on the requests that can still make their SLO. The
+//     insertion point is searched from the back (arrivals that share one
+//     default deadline come in deadline order, so that is O(1)), and
+//     since the queue is sorted, expiry shedding stops at the first live
+//     request.
 //     TenantOrder::kFifo preserves arrival order for comparison — the
 //     FIFO-vs-EDF deadline-miss experiment in bench/serving_throughput.
 //
@@ -39,8 +43,10 @@
 // request is dropped (see registry.hpp for the protocol).
 //
 // Every future still resolves: admission failures resolve synchronously;
-// queued requests whose deadline lapses resolve kExpired; remove_tenant
-// and stop either drain the backlog or resolve it kShutdown.
+// queued requests whose deadline lapses resolve kExpired; a request the
+// model throws on resolves kError without failing its batch-mates
+// (run_model_batch); remove_tenant and stop either drain the backlog or
+// resolve it kShutdown.
 #pragma once
 
 #include <atomic>
@@ -137,9 +143,12 @@ class FleetScheduler {
     std::int64_t rejected = 0;   ///< refused at admission (any reason)
     std::int64_t expired = 0;    ///< deadline-shed before dispatch
     std::int64_t shed = 0;       ///< kShutdown-resolved at stop/deregister
+    std::int64_t errors = 0;     ///< kError: the model threw on it alone
     std::int64_t batches = 0;
     std::int64_t indirect_batches = 0;
-    bool all_resolved() const { return accepted == completed + expired + shed; }
+    bool all_resolved() const {
+      return accepted == completed + expired + shed + errors;
+    }
   };
   struct Stats {
     TenantStats total;  ///< sums across live and deregistered tenants
@@ -187,6 +196,7 @@ class FleetScheduler {
     std::atomic<std::int64_t> rejected{0};
     std::atomic<std::int64_t> expired{0};
     std::atomic<std::int64_t> shed{0};
+    std::atomic<std::int64_t> errors{0};
     std::atomic<std::int64_t> batches{0};
     std::atomic<std::int64_t> indirect_batches{0};
   };

@@ -3,7 +3,7 @@
 // A Request is one independent single-image inference: an H×W×C NHWC image,
 // an optional absolute Deadline, and a promise the engine must resolve with
 // exactly one Response whatever happens (served, rejected at admission,
-// expired in queue, or shed at shutdown). "Every future resolves" is the
+// expired in queue, failed in the model, or shed at shutdown). "Every future resolves" is the
 // subsystem's core invariant — the tests and the CI smoke both assert it.
 #pragma once
 
@@ -49,6 +49,7 @@ enum class Status : std::uint8_t {
   kRejected,  ///< admission control refused it (queue full)
   kExpired,   ///< deadline passed before dispatch; shed without running
   kShutdown,  ///< session stopped before it could run
+  kError,     ///< the model threw on this request; `reason` has the text
 };
 
 inline const char* status_name(Status s) {
@@ -57,6 +58,7 @@ inline const char* status_name(Status s) {
     case Status::kRejected: return "rejected";
     case Status::kExpired: return "expired";
     case Status::kShutdown: return "shutdown";
+    case Status::kError: return "error";
   }
   return "?";
 }

@@ -154,6 +154,7 @@ void ServingSession::run_batch(Batcher::Batch b) {
                             : 0;
   const DispatchResult res = run_model_batch(model_, b.requests, spec);
   completed_.fetch_add(res.completed, std::memory_order_relaxed);
+  errors_.fetch_add(res.failed, std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (res.indirect) indirect_batches_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -206,6 +207,7 @@ ServingSession::Stats ServingSession::stats() const {
   s.rejected = rejected_.load();
   s.expired = expired_.load();
   s.shed = shed_.load();
+  s.errors = errors_.load();
   s.batches = batches_.load();
   s.indirect_batches = indirect_batches_.load();
   return s;

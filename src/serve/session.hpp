@@ -131,13 +131,16 @@ class ServingSession {
     std::int64_t rejected = 0;   ///< refused at admission (full or closed)
     std::int64_t expired = 0;    ///< deadline-shed before dispatch
     std::int64_t shed = 0;       ///< kShutdown-resolved at stop
+    std::int64_t errors = 0;     ///< kError: the model threw on it alone
     std::int64_t batches = 0;    ///< micro-batches dispatched (all modes)
     /// Of `batches`, how many were mixed-shape indirect dispatches
     /// (Model::infer_ragged) vs single-shape dense batch tensors.
     std::int64_t indirect_batches = 0;
     /// Every admitted request reached a terminal state (refused ones were
     /// resolved synchronously at submit).
-    bool all_resolved() const { return accepted == completed + expired + shed; }
+    bool all_resolved() const {
+      return accepted == completed + expired + shed + errors;
+    }
   };
   Stats stats() const;
 
@@ -172,6 +175,7 @@ class ServingSession {
   std::atomic<std::int64_t> rejected_{0};
   std::atomic<std::int64_t> expired_{0};
   std::atomic<std::int64_t> shed_{0};
+  std::atomic<std::int64_t> errors_{0};
   std::atomic<std::int64_t> batches_{0};
   std::atomic<std::int64_t> indirect_batches_{0};
   std::atomic<bool> stopped_{false};

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -385,6 +387,194 @@ TEST(FleetScheduler, ExpiredQueuedRequestsAreShedBeforeDispatch) {
   fleet.stop(/*drain=*/true);
   const FleetScheduler::Stats s = fleet.stats();
   EXPECT_EQ(s.tenants.at("t").expired, 1);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+/// Identity layer that logs the tag (element 0) of every image it runs and
+/// parks an image tagged kHold until release(): a busy worker on demand.
+class GateLayer final : public nn::Layer {
+ public:
+  static constexpr float kHold = -1.0f;
+
+  std::string name() const override { return "gate"; }
+  TensorF forward(const TensorF& x, bool) override { return infer(x); }
+  TensorF infer(const TensorF& x) const override {
+    std::unique_lock lock(mu_);
+    const std::int64_t per = x.size() / x.dim(0);
+    for (std::int64_t i = 0; i < x.dim(0); ++i) seen_.push_back(x[i * per]);
+    if (x[0] == kHold) {
+      held_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return x;
+  }
+  TensorF backward(const TensorF& dy) override { return dy; }
+
+  void wait_held() const {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void release() {
+    std::lock_guard lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  std::vector<float> seen() const {
+    std::lock_guard lock(mu_);
+    return seen_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool held_ = false;
+  bool released_ = false;
+  mutable std::vector<float> seen_;
+};
+
+TensorF tagged_image(float tag) {
+  TensorF x({2, 2, 3});
+  x.fill(tag);
+  return x;
+}
+
+struct QueueOrder {
+  std::vector<float> dispatched;  ///< tags, in dispatch order
+  std::vector<float> shed;        ///< tags, in kExpired resolution order
+};
+
+/// Holds the single worker on a gate, queues equal, earlier, later and
+/// missing deadlines behind it (two of them expire while it waits), then
+/// releases it. Tags are 1..9 in submit order; request ids are minted
+/// 1, 2, … per fleet, so tag t is request t + 1 (the holder is 1). The shed
+/// order comes from the flight recorder's serve.reject spans.
+QueueOrder queue_order_probe(TenantOrder order) {
+  FleetConfig fc;
+  fc.workers = 1;
+  fc.max_wait = 0us;
+  fc.idle_wait = 5ms;
+  fc.order = order;
+  fc.warmup.prewarm = false;
+  FleetScheduler fleet(fc);
+  auto gate_owner = std::make_unique<GateLayer>();
+  const GateLayer* gate = gate_owner.get();
+  nn::Model m;
+  m.add(std::move(gate_owner));
+  TenantConfig cfg = tenant_cfg("t");
+  cfg.max_batch = 1;  // one request per batch: dispatch order is exact
+  fleet.add_tenant(std::move(m), cfg);
+
+  trace::Tracer::global().enable();
+  auto holder = fleet.submit("t", tagged_image(GateLayer::kHold));
+  gate->wait_held();
+  const Deadline early = Deadline::after(1ms);
+  const Deadline mid = Deadline::after(2ms);
+  const Deadline late = Deadline::after(60s);
+  const Deadline later = Deadline::after(120s);
+  const Deadline none = Deadline::never();
+  const Deadline deadlines[9] = {later, none, mid,  late, mid,
+                                 early, later, none, late};
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 9; ++i) {
+    futs.push_back(fleet.submit("t", tagged_image(static_cast<float>(i + 1)),
+                                deadlines[i]));
+  }
+  while (!mid.expired()) std::this_thread::sleep_for(1ms);
+  const_cast<GateLayer*>(gate)->release();
+  EXPECT_EQ(holder.get().status, Status::kOk);
+  for (int i = 0; i < 9; ++i) {
+    const Status want = deadlines[i].has_deadline() &&
+                                deadlines[i].at() <= mid.at()
+                            ? Status::kExpired
+                            : Status::kOk;
+    EXPECT_EQ(futs[static_cast<std::size_t>(i)].get().status, want)
+        << "tag " << i + 1;
+  }
+  fleet.stop(/*drain=*/true);
+  trace::Tracer::global().disable();
+
+  QueueOrder out;
+  const std::vector<float> seen = gate->seen();
+  out.dispatched.assign(seen.begin() + 1, seen.end());  // drop the holder
+  for (const trace::Event& e : trace::Tracer::global().events()) {
+    if (e.name != "serve.reject") continue;
+    for (const trace::Arg& a : e.args) {
+      if (a.key == "status" && a.str == "expired") {
+        out.shed.push_back(static_cast<float>(e.ctx.request_id - 1));
+      }
+    }
+  }
+  trace::Tracer::global().clear();
+  EXPECT_TRUE(fleet.stats().all_resolved());
+  return out;
+}
+
+TEST(FleetScheduler, EdfQueueDispatchAndShedOrderAreExact) {
+#ifdef IWG_TRACE_DISABLE
+  GTEST_SKIP() << "the shed order is read from the flight recorder";
+#endif
+  const QueueOrder q = queue_order_probe(TenantOrder::kEdf);
+  // Deadline order, FIFO among equal deadlines, deadline-less last; the
+  // expired prefix (earliest first) is shed before anything dispatches.
+  EXPECT_EQ(q.shed, (std::vector<float>{6, 3, 5}));
+  EXPECT_EQ(q.dispatched, (std::vector<float>{4, 9, 1, 7, 2, 8}));
+}
+
+TEST(FleetScheduler, FifoQueueShedsEveryExpiredRequestInArrivalOrder) {
+#ifdef IWG_TRACE_DISABLE
+  GTEST_SKIP() << "the shed order is read from the flight recorder";
+#endif
+  const QueueOrder q = queue_order_probe(TenantOrder::kFifo);
+  EXPECT_EQ(q.shed, (std::vector<float>{3, 5, 6}));
+  EXPECT_EQ(q.dispatched, (std::vector<float>{1, 2, 4, 7, 8, 9}));
+}
+
+// ---------------------------------------------------------------------------
+// A request the model throws on fails alone
+
+TEST(FleetScheduler, ThrowingRequestResolvesErrorAndBatchMatesServe) {
+  FleetConfig fc = fleet_cfg();
+  fc.workers = 1;
+  fc.max_wait = 10s;  // the batch ships when all four are queued
+  FleetScheduler fleet(fc);
+  TenantConfig cfg = tenant_cfg("cls");
+  cfg.max_batch = 4;
+  fleet.add_tenant(make_tiny_classifier(/*seed=*/41), cfg);
+  const nn::Model offline = make_tiny_classifier(/*seed=*/41);
+  Rng rng(42);
+  // A channel-valid 12×12 image passes admission, but the classifier's
+  // Flatten → Linear head fixes the input at 8×8: its shape check throws
+  // inside the mixed (ragged) batch on the worker.
+  std::vector<TensorF> imgs = {random_image(rng), random_image(rng),
+                               random_image(rng, 12, 12), random_image(rng)};
+  std::vector<std::future<Response>> futs;
+  for (const TensorF& img : imgs) futs.push_back(fleet.submit("cls", img));
+  for (std::size_t i = 0; i < imgs.size(); ++i) {
+    const Response r = futs[i].get();
+    if (i == 2) {
+      EXPECT_EQ(r.status, Status::kError);
+      EXPECT_FALSE(r.reason.empty());
+      EXPECT_TRUE(r.output.empty());
+      continue;
+    }
+    ASSERT_EQ(r.status, Status::kOk) << "request " << i << ": " << r.reason;
+    EXPECT_EQ(r.batch_size, 4);
+    EXPECT_TRUE(bits_equal(r.output, infer_single(offline, imgs[i])))
+        << "request " << i;
+  }
+  // The worker survived and keeps serving (the draining stop ships the
+  // lone request without waiting out max_wait).
+  const TensorF after = random_image(rng);
+  auto fa = fleet.submit("cls", after);
+  fleet.stop(/*drain=*/true);
+  const Response ra = fa.get();
+  ASSERT_EQ(ra.status, Status::kOk);
+  EXPECT_TRUE(bits_equal(ra.output, infer_single(offline, after)));
+  const FleetScheduler::Stats s = fleet.stats();
+  EXPECT_EQ(s.tenants.at("cls").errors, 1);
+  EXPECT_EQ(s.tenants.at("cls").completed, 4);
+  EXPECT_EQ(s.total.errors, 1);
   EXPECT_TRUE(s.all_resolved());
 }
 

@@ -219,6 +219,70 @@ TEST(FuzzConv, IndirectRaggedBatchesMatchFp64Direct) {
   }
 }
 
+// The implicit-GEMM body — the GEMM engine at stride 1 and every stride-2
+// layer — against FP64 direct convolution, for r = 1–9, padding
+// 0..⌊r/2⌋, odd and even H and W, channel counts off the 8-lane grid, on
+// every ISA. Data in [1, 2] as in the Table 3 bench, so the bound is the
+// strict-FP32 GEMM band EXPERIMENTS.md measures there (0.9e-7–9e-7 up to
+// IC = 128), rounded up. Stride 2 is judged against the stride-1 truth
+// sampled at even positions.
+TEST(FuzzConv, ImplicitGemmMatchesFp64AtStrideOneAndTwo) {
+  constexpr double kFp32GemmBound = 1e-6;
+  struct IsaRestore {
+    HostIsa prev = host_isa();
+    ~IsaRestore() { set_host_isa(prev); }
+  } restore;
+  ConvOptions gemm;
+  gemm.use_winograd = false;
+  for (const HostIsa isa : host_isa_available()) {
+    ASSERT_TRUE(set_host_isa(isa));
+    Rng rng(5150);
+    for (std::int64_t r = 1; r <= 9; ++r) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (int parity = 0; parity < 2; ++parity) {
+          ConvShape s;
+          s.n = 1 + static_cast<std::int64_t>(rng.below(2));
+          s.fh = s.fw = r;
+          s.ph = static_cast<std::int64_t>(
+              rng.below(static_cast<std::uint64_t>(r / 2 + 1)));
+          s.pw = static_cast<std::int64_t>(
+              rng.below(static_cast<std::uint64_t>(r / 2 + 1)));
+          do {
+            s.ic = 1 + static_cast<std::int64_t>(rng.below(13));
+          } while (s.ic % 8 == 0);
+          do {
+            s.oc = 1 + static_cast<std::int64_t>(rng.below(21));
+          } while (s.oc % 8 == 0);
+          // One odd and one even extent per trial, swapped between trials.
+          s.ih = r + 2 * static_cast<std::int64_t>(rng.below(5)) + parity;
+          s.iw = r + 2 * static_cast<std::int64_t>(rng.below(5)) + 1 - parity;
+          s.validate();
+          Rng data(9000 + static_cast<unsigned>(r * 4 + stride * 2 + parity));
+          TensorF x({s.n, s.ih, s.iw, s.ic});
+          x.fill_uniform(data, 1.0f, 2.0f);
+          TensorF w({s.oc, s.fh, s.fw, s.ic});
+          w.fill_uniform(data, 1.0f, 2.0f);
+          const TensorD full = ref::conv2d_direct_fp64(x, w, s);
+          const std::int64_t oh = strided_extent(s.oh(), stride);
+          const std::int64_t ow = strided_extent(s.ow(), stride);
+          TensorD want({s.n, oh, ow, s.oc});
+          for (std::int64_t ni = 0; ni < s.n; ++ni)
+            for (std::int64_t h = 0; h < oh; ++h)
+              for (std::int64_t wo = 0; wo < ow; ++wo)
+                for (std::int64_t oc = 0; oc < s.oc; ++oc)
+                  want.at(ni, h, wo, oc) =
+                      full.at(ni, h * stride, wo * stride, oc);
+          const TensorF got = conv2d_strided(x, w, s, stride, gemm);
+          ASSERT_TRUE(got.same_shape(TensorF({s.n, oh, ow, s.oc})));
+          EXPECT_LT(average_relative_error(got, want), kFp32GemmBound)
+              << host_isa_name(isa) << " stride " << stride << " shape "
+              << s.to_string() << " pad " << s.ph << "," << s.pw;
+        }
+      }
+    }
+  }
+}
+
 TEST(FuzzConv, DeterministicAcrossRuns) {
   Rng rng(99);
   const ConvShape s = random_shape(rng);

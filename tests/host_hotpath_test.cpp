@@ -146,6 +146,34 @@ TEST(FilterTransformCache, MissCounterCountsDistinctVersionConfigPairs) {
   EXPECT_EQ(filter_transform_hits().value() - hit0, 9);
 }
 
+TEST(FilterTransformCache, GemmPanelFollowsVersionAndInvalidate) {
+  // A stride-2 conv caches one [FH][FW][IC][OC] panel per weights version
+  // under α = kGemmPanelAlpha; a version bump replaces it and invalidate
+  // drops it, exactly like ĝ.
+  FilterTransformCache cache(8);
+  const ConvShape s = small_shape();
+  const TensorF x = rand_tensor({s.n, s.ih, s.iw, s.ic}, 7);
+  const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic}, 8);
+  ConvOptions opts;
+  opts.filter_cache = &cache;
+  const std::int64_t miss0 = filter_transform_misses().value();
+  const TensorF y0 = conv2d_strided(x, w, s, 2, opts);
+  const TensorF y1 = conv2d_strided(x, w, s, 2, opts);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(filter_transform_misses().value() - miss0, 1);
+  EXPECT_EQ(max_abs_diff(y0, y1), 0.0);
+  const auto panel = cache.get_or_compute(
+      {w.data(), 0, kGemmPanelAlpha, static_cast<int>(s.fw), false},
+      [] { return std::vector<float>(); });
+  EXPECT_EQ(*panel, gemm_panel_host(w));
+  opts.weights_version = 1;
+  (void)conv2d_strided(x, w, s, 2, opts);
+  EXPECT_EQ(cache.size(), 1u);  // the stale version is gone
+  EXPECT_EQ(filter_transform_misses().value() - miss0, 2);
+  cache.invalidate(w.data());
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Engine correctness: cached path, off-origin segments, sliding window
 

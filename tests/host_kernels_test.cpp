@@ -5,7 +5,6 @@
 //   transform_cols               bitwise-identical FP32 (dense sums)
 //   axpy_rank1 / axpy_rank1_multi
 //   / saxpy / out_transform      ULP-bounded (FMA contraction allowed)
-//   dot                          reassociated (per-lane partial sums)
 // Inputs cover every α the paper supports (4..16), ragged tail lengths
 // around the 4/8/16-lane block widths, unaligned NHWC base pointers, null
 // (padding) rows, and zero matrix entries.
@@ -323,40 +322,6 @@ TEST(HostKernels, OutTransformUlpBounded) {
   }
 }
 
-// --- dot: REASSOCIATED ------------------------------------------------------
-
-TEST(HostKernels, DotReassociationBounded) {
-  const HostKernels& ref = detail::host_kernels_scalar();
-  for (HostIsa isa : host_isa_available()) {
-    const HostKernels& table = *host_kernels_for(isa);
-    SCOPED_TRACE(table.name);
-    for (std::int64_t n : {1, 2, 7, 8, 9, 63, 64, 65, 300, 1152}) {
-      std::vector<float> a = rand_buf(n + 1, 900 + static_cast<unsigned>(n));
-      std::vector<float> b = rand_buf(n + 1, 901 + static_cast<unsigned>(n));
-      const float got = table.dot(misalign(a), misalign(b), n);
-      const float want = ref.dot(misalign(a), misalign(b), n);
-      double abs_sum = 0.0;
-      for (std::int64_t j = 1; j <= n; ++j)
-        abs_sum += std::abs(static_cast<double>(a[j]) * b[j]);
-      // Reassociation changes the summation tree entirely: bound by the
-      // classic n·ε·Σ|aᵢ·bᵢ| forward-error envelope on both sides.
-      EXPECT_NEAR(got, want, 4.0 * static_cast<double>(n) * kEps * abs_sum +
-                                 1e-12);
-    }
-  }
-}
-
-TEST(HostKernels, DotIsDeterministicPerTable) {
-  for (HostIsa isa : host_isa_available()) {
-    const HostKernels& table = *host_kernels_for(isa);
-    std::vector<float> a = rand_buf(1000, 77);
-    std::vector<float> b = rand_buf(1000, 78);
-    const float first = table.dot(a.data(), b.data(), 999);
-    for (int rep = 0; rep < 3; ++rep)
-      EXPECT_EQ(table.dot(a.data(), b.data(), 999), first) << table.name;
-  }
-}
-
 // --- full-convolution cross-ISA agreement -----------------------------------
 
 TensorF rand_tensor(std::initializer_list<std::int64_t> dims, unsigned seed) {
@@ -367,8 +332,8 @@ TensorF rand_tensor(std::initializer_list<std::int64_t> dims, unsigned seed) {
 }
 
 // Routing a whole convolution through each table must agree with the scalar
-// engine to within Winograd error amplification (not bitwise: the ULP and
-// reassociated kernels sit inside the transform sandwich).
+// engine to within Winograd error amplification (not bitwise: the ULP
+// kernels sit inside the transform sandwich).
 TEST(HostKernels, FullConvolutionAgreesAcrossIsas) {
   const IsaRestore restore;
   struct Case {

@@ -4,7 +4,7 @@
 // construction — both paths run detail::gamma_tile_column / detail::gemm_row
 // over the per-class §5.5 plan — and these tests pin that contract across
 // filter widths (α = 4..16 plans), ragged H/W mixes, GEMM-only execution,
-// and every host ISA this build carries.
+// stride 2, and every host ISA this build carries.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -154,6 +154,42 @@ TEST(IndirectConv, EveryHostIsaBitwiseParity) {
     RaggedCase c(3, mixed_sizes(), 555);
     check_parity(c, IndirectOptions{}, ConvOptions{},
                  std::string("isa=") + host_isa_name(isa));
+  }
+}
+
+TEST(IndirectConv, StrideTwoMatchesDenseBitwisePerImage) {
+  // Stride 2 runs the implicit GEMM for every image; the ragged dispatch
+  // and a dense batch-1 conv2d_strided share its task body, on every ISA.
+  struct IsaRestore {
+    HostIsa prev = host_isa();
+    ~IsaRestore() { set_host_isa(prev); }
+  } restore;
+  for (const HostIsa isa : host_isa_available()) {
+    ASSERT_TRUE(set_host_isa(isa));
+    for (std::int64_t fw = 1; fw <= 9; ++fw) {
+      RaggedCase c(fw, mixed_sizes(), 4000 + static_cast<unsigned>(fw));
+      std::vector<TensorF> ys;
+      std::vector<ImageView> v;
+      for (const RaggedImage& img : c.images) {
+        const ConvShape s = c.shape_for(img.ih, img.iw);
+        ys.emplace_back(std::vector<std::int64_t>{
+            1, strided_extent(s.oh(), 2), strided_extent(s.ow(), 2),
+            c.geom.oc});
+      }
+      for (std::size_t i = 0; i < c.images.size(); ++i) {
+        const RaggedImage& img = c.images[i];
+        v.push_back(ImageView{img.x.data(), ys[i].data(), img.ih, img.iw});
+      }
+      conv2d_gamma_host_indirect(v, c.w, c.geom, IndirectOptions{}, 2);
+      for (std::size_t i = 0; i < c.images.size(); ++i) {
+        const RaggedImage& img = c.images[i];
+        const ConvShape s = c.shape_for(img.ih, img.iw);
+        expect_bitwise(ys[i], conv2d_strided(img.x, c.w, s, 2),
+                       std::string(host_isa_name(isa)) + " fw=" +
+                           std::to_string(fw) + " image " +
+                           std::to_string(i) + " shape " + s.to_string());
+      }
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // the full Winograd forward/backward/filter-grad stack end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "common/rng.hpp"
@@ -168,6 +170,53 @@ TEST(NnGradcheck, ResidualBlockProjection) {
 }
 
 // ---------------------------------------------------------------------------
+
+TEST(NnLayers, LinearInferEqualsForwardAndMatchesFp64) {
+  // D = 37 and M = 19 leave ragged vector tails; 1, 8 and 13 rows cover a
+  // lone row, one full 8-row block, and a block plus a ragged remainder.
+  constexpr std::int64_t kD = 37;
+  constexpr std::int64_t kM = 19;
+  Rng rng(21);
+  Linear lin(kD, kM, rng);
+  Param* w = lin.params()[0];
+  Param* b = lin.params()[1];
+  b->value.fill_uniform(rng, -1.0f, 1.0f);
+  const TensorF all = rand_input({13, kD}, 22);
+  for (const std::int64_t n : {1, 8, 13}) {
+    TensorF x({n, kD});
+    std::copy_n(all.data(), n * kD, x.data());
+    const TensorF y = lin.infer(x);
+    const TensorF yf = lin.forward(x, /*train=*/false);
+    ASSERT_TRUE(y.same_shape(yf));
+    EXPECT_EQ(std::memcmp(y.data(), yf.data(),
+                          static_cast<std::size_t>(y.size()) * sizeof(float)),
+              0)
+        << "n=" << n;
+    for (std::int64_t i = 0; i < n; ++i) {
+      // A row's bits do not depend on the batch it rides in.
+      TensorF xi({1, kD});
+      std::copy_n(x.data() + i * kD, kD, xi.data());
+      const TensorF yi = lin.infer(xi);
+      EXPECT_EQ(std::memcmp(yi.data(), y.data() + i * kM, kM * sizeof(float)),
+                0)
+          << "n=" << n << " row " << i;
+      for (std::int64_t j = 0; j < kM; ++j) {
+        double want = b->value[j];
+        double mag = std::abs(want);
+        for (std::int64_t k = 0; k < kD; ++k) {
+          const double t = static_cast<double>(x[i * kD + k]) *
+                           static_cast<double>(w->value[k * kM + j]);
+          want += t;
+          mag += std::abs(t);
+        }
+        // D + 1 roundings of at most ε/2 each, on the sum of magnitudes.
+        const double bound = (kD + 1) * 0.5 * 1.1920929e-7 * mag;
+        EXPECT_NEAR(y[i * kM + j], want, bound)
+            << "n=" << n << " row " << i << " col " << j;
+      }
+    }
+  }
+}
 
 TEST(NnLayers, LeakyReLUForwardValues) {
   LeakyReLU relu(0.01f);
