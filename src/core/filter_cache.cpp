@@ -1,5 +1,7 @@
 #include "core/filter_cache.hpp"
 
+#include <algorithm>
+
 #include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
@@ -28,27 +30,65 @@ std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
   const HostKernels& hk = host_kernels();
   std::vector<float> ghat(static_cast<std::size_t>(s.fh) * alpha * s.ic *
                           s.oc);
-  // The r filter taps of one (oc, fh) slice are IC-contiguous NHWC-style
-  // rows, so the G transform runs IC-lane-parallel; the scatter into the
-  // ĝ[fh][t][ic][oc] layout (OC innermost for the axpy kernel) is the only
-  // scalar step left.
-  parallel_for(s.fh * s.oc, [&](std::int64_t job) {
-    const std::int64_t fh = job / s.oc;
-    const std::int64_t oc = job % s.oc;
+  // OC is ĝ's lane axis but w's outermost, so each (fh, IC block) task first
+  // stages its [FW][ICB][OC] slice of the [FH][FW][IC][OC] transpose in its
+  // own arena: per (oc, j) it reads ICB contiguous floats of w, and the
+  // ICB·FW destination rows stay in L1 while OC fills them. Then one
+  // transform_cols per ic turns the r rows [j][ic][:] into α whole ĝ rows,
+  // IC·OC apart. Each element keeps its ascending-j terms, so ĝ is bitwise
+  // Σ_j G[t][j]·w[oc][fh][j][ic] on every ISA, whichever axis is on lanes.
+  constexpr std::int64_t kIcBlock = 16;
+  const std::int64_t ic_blocks = (s.ic + kIcBlock - 1) / kIcBlock;
+  const std::int64_t plane = s.ic * s.oc;  // one ĝ[fh][t] plane
+  parallel_for(s.fh * ic_blocks, [&](std::int64_t job) {
+    const std::int64_t fh = job / ic_blocks;
+    const std::int64_t ic0 = job % ic_blocks * kIcBlock;
+    const std::int64_t icn = std::min(kIcBlock, s.ic - ic0);
     ScratchArena& arena = ScratchArena::local();
     const ScratchArena::Scope scope(arena);
-    float* ghat_ic =
-        arena.alloc_floats(static_cast<std::size_t>(alpha) * s.ic);
-    const float* taps[16];
-    for (int j = 0; j < r; ++j) taps[j] = &w.at(oc, fh, j, 0);
-    hk.transform_cols(plan.g_f.data(), alpha, r, taps, s.ic, ghat_ic, s.ic);
-    for (int t = 0; t < alpha; ++t) {
-      const float* src = ghat_ic + static_cast<std::int64_t>(t) * s.ic;
-      float* dst = ghat.data() +
-                   ((fh * alpha + t) * s.ic) * static_cast<std::size_t>(s.oc) +
-                   static_cast<std::size_t>(oc);
-      for (std::int64_t ic = 0; ic < s.ic; ++ic) dst[ic * s.oc] = src[ic];
+    float* slice =
+        arena.alloc_floats(static_cast<std::size_t>(r * icn * s.oc));
+    for (std::int64_t oc = 0; oc < s.oc; ++oc) {
+      for (int j = 0; j < r; ++j) {
+        const float* src = &w.at(oc, fh, j, ic0);
+        float* dst = slice + j * icn * s.oc + oc;
+        for (std::int64_t i = 0; i < icn; ++i) dst[i * s.oc] = src[i];
+      }
     }
+    const float* taps[16];
+    for (std::int64_t i = 0; i < icn; ++i) {
+      for (int j = 0; j < r; ++j) taps[j] = slice + (j * icn + i) * s.oc;
+      hk.transform_cols(plan.g_f.data(), alpha, r, taps, s.oc,
+                        ghat.data() + fh * alpha * plane + (ic0 + i) * s.oc,
+                        plane);
+    }
+  });
+  return ghat;
+}
+
+std::vector<float> deconv_transform_filter_host(const TensorF& w,
+                                                const GammaConfig& cfg) {
+  IWG_CHECK(w.rank() == 4 && w.dim(2) == cfg.r);
+  const std::int64_t oc = w.dim(0);
+  const std::int64_t fh = w.dim(1);
+  const std::int64_t ic = w.dim(3);
+  const int alpha = cfg.alpha;
+  const int r = cfg.r;
+  const WinogradPlan& plan = get_plan(cfg.n, r);
+  const HostKernels& hk = host_kernels();
+  std::vector<float> ghat(static_cast<std::size_t>(fh) * alpha * oc * ic);
+  // The deconvolution's lane axis is the forward IC, w's innermost axis: the
+  // r taps of filter row fh are w's rows [oc][FH−1−fh][FW−1−j][:] read in
+  // place, and the α results land as whole rows OC·IC apart.
+  const std::int64_t plane = oc * ic;
+  const std::int64_t jobs = fh * oc;
+  parallel_for(jobs, parallel_grain(jobs), [&](std::int64_t job) {
+    const std::int64_t h = job / oc;
+    const std::int64_t o = job % oc;
+    const float* taps[16];
+    for (int j = 0; j < r; ++j) taps[j] = &w.at(o, fh - 1 - h, r - 1 - j, 0);
+    hk.transform_cols(plan.g_f.data(), alpha, r, taps, ic,
+                      ghat.data() + h * alpha * plane + o * ic, plane);
   });
   return ghat;
 }
@@ -65,6 +105,25 @@ std::vector<float> gemm_panel_host(const TensorF& w) {
       for (std::int64_t i = 0; i < ic; ++i) {
         panel[static_cast<std::size_t>((t * ic + i) * oc + o)] =
             src[(o * taps + t) * ic + i];
+      }
+    }
+  }
+  return panel;
+}
+
+std::vector<float> deconv_gemm_panel_host(const TensorF& w) {
+  IWG_CHECK(w.rank() == 4);
+  const std::int64_t oc = w.dim(0);
+  const std::int64_t fh = w.dim(1);
+  const std::int64_t fw = w.dim(2);
+  const std::int64_t ic = w.dim(3);
+  std::vector<float> panel(static_cast<std::size_t>(w.size()));
+  float* dst = panel.data();
+  for (std::int64_t h = 0; h < fh; ++h) {
+    for (std::int64_t x = 0; x < fw; ++x) {
+      for (std::int64_t o = 0; o < oc; ++o) {
+        const float* src = &w.at(o, fh - 1 - h, fw - 1 - x, 0);
+        dst = std::copy(src, src + ic, dst);
       }
     }
   }

@@ -14,7 +14,8 @@
 //   * ĝ depends on the Γ geometry only through (α, r) (the G matrix), so a
 //     ruse prefix and its base mop-up segment share one entry;
 //   * `deconv` distinguishes the backward-data transform (rotated /
-//     channel-swapped filter) of the same weights;
+//     channel-swapped filter, read from the original weights in place) of
+//     the same weights;
 //   * the implicit-GEMM body's weight panel [FH][FW][IC][OC] lives here
 //     too, under α = kGemmPanelAlpha (the identity transform, a geometry
 //     no Γ kernel has), so a version bump or `invalidate` drops it exactly
@@ -56,6 +57,12 @@ namespace iwg::core {
 std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
                                          const GammaConfig& cfg);
 
+/// ĝ of the backward-data problem, ĝ[fh][t][oc][ic] = Σ_j G[t][j] ·
+/// w[oc][FH−1−fh][FW−1−j][ic]: transform_filter_host of deconv_filter(w),
+/// bit for bit, read from the OC,FH,FW,IC filter `w` in place.
+std::vector<float> deconv_transform_filter_host(const TensorF& w,
+                                                const GammaConfig& cfg);
+
 /// Cache-key α of the implicit-GEMM weight panel: α = 1, the identity
 /// transform. Γ kernels use α ∈ {4, 8, 16}, so the keys never collide.
 inline constexpr int kGemmPanelAlpha = 1;
@@ -64,6 +71,10 @@ inline constexpr int kGemmPanelAlpha = 1;
 /// filter `w`: one [IC][OC] plane per filter tap, OC contiguous — the
 /// g[k·nj + j] operand of axpy_rank1_multi.
 std::vector<float> gemm_panel_host(const TensorF& w);
+
+/// gemm_panel_host of deconv_filter(w), copied from `w` as whole IC rows:
+/// panel[fh][fw][oc][ic] = w[oc][FH−1−fh][FW−1−fw][ic].
+std::vector<float> deconv_gemm_panel_host(const TensorF& w);
 
 /// The metrics-registry counters the host filter-transform paths feed
 /// (stable references, cheap to cache at call sites).

@@ -8,7 +8,6 @@
 #include "common/trace.hpp"
 #include "core/filter_cache.hpp"
 #include "core/host_kernels.hpp"
-#include "tensor/layout.hpp"
 #include "winograd/plan.hpp"
 
 namespace iwg::core {
@@ -216,13 +215,16 @@ const float* TransformMemo::get(int alpha, int r, const Compute& compute) {
 }
 
 const float* TransformMemo::ghat(const ConvShape& s, const GammaConfig& cfg) {
-  return get(cfg.alpha, cfg.r,
-             [&] { return transform_filter_host(w_, s, cfg); });
+  return get(cfg.alpha, cfg.r, [&] {
+    return fc_.deconv ? deconv_transform_filter_host(w_, cfg)
+                      : transform_filter_host(w_, s, cfg);
+  });
 }
 
 const float* TransformMemo::panel() {
-  return get(kGemmPanelAlpha, static_cast<int>(w_.dim(2)),
-             [&] { return gemm_panel_host(w_); });
+  return get(kGemmPanelAlpha, static_cast<int>(w_.dim(2)), [&] {
+    return fc_.deconv ? deconv_gemm_panel_host(w_) : gemm_panel_host(w_);
+  });
 }
 
 }  // namespace detail
@@ -286,16 +288,12 @@ void conv2d_gamma_host_segment(const TensorF& x, const TensorF& w,
                                            ow_len, y);
 }
 
-TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
-                          const ConvShape& s,
-                          const std::vector<Segment>& plan,
-                          const FilterCacheRef& fc, std::int64_t stride) {
-  s.validate();
-  IWG_CHECK(stride >= 1);
-  IWG_CHECK(x.rank() == 4 && x.dim(0) == s.n && x.dim(1) == s.ih &&
-            x.dim(2) == s.iw && x.dim(3) == s.ic);
-  IWG_CHECK(w.rank() == 4 && w.dim(0) == s.oc && w.dim(1) == s.fh &&
-            w.dim(2) == s.fw && w.dim(3) == s.ic);
+namespace {
+
+/// The boundary plan's segments in order, against the memo's transforms.
+TensorF run_plan(const TensorF& x, const ConvShape& s,
+                 const std::vector<Segment>& plan,
+                 detail::TransformMemo& transforms, std::int64_t stride) {
   IWG_TRACE_SPAN(conv_span, "conv2d_host", "host");
   if (conv_span.active()) {
     conv_span.arg("shape", s.to_string())
@@ -310,7 +308,6 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
   const std::int64_t ow = strided_extent(s.ow(), stride);
   TensorF y({s.n, strided_extent(s.oh(), stride), ow, s.oc});
 
-  detail::TransformMemo transforms(w, fc);
   std::int64_t covered = 0;
   for (const Segment& seg : plan) {
     IWG_CHECK_MSG(seg.ow_start == covered, "boundary plan has gaps");
@@ -345,13 +342,29 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
   return y;
 }
 
+}  // namespace
+
+TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
+                          const ConvShape& s,
+                          const std::vector<Segment>& plan,
+                          const FilterCacheRef& fc, std::int64_t stride) {
+  s.validate();
+  IWG_CHECK(stride >= 1);
+  IWG_CHECK(!fc.deconv);
+  IWG_CHECK(x.rank() == 4 && x.dim(0) == s.n && x.dim(1) == s.ih &&
+            x.dim(2) == s.iw && x.dim(3) == s.ic);
+  IWG_CHECK(w.rank() == 4 && w.dim(0) == s.oc && w.dim(1) == s.fh &&
+            w.dim(2) == s.fw && w.dim(3) == s.ic);
+  detail::TransformMemo transforms(w, fc);
+  return run_plan(x, s, plan, transforms, stride);
+}
+
 TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
                             const ConvShape& s,
                             const std::vector<Segment>& plan,
                             const FilterCacheRef& fc) {
   IWG_TRACE_SCOPE("deconv2d_host", "host");
   // Equivalent forward problem: rotated/channel-swapped filter, flipped pad.
-  const TensorF wd = deconv_filter(w);
   ConvShape ds;
   ds.n = s.n;
   ds.ih = s.oh();
@@ -362,18 +375,95 @@ TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
   ds.fw = s.fw;
   ds.ph = s.fh - 1 - s.ph;
   ds.pw = s.fw - 1 - s.pw;
+  ds.validate();
   IWG_CHECK(ds.oh() == s.ih && ds.ow() == s.iw);
-  // Cache entries stay keyed on the *original* weights (wd is a temporary);
+  IWG_CHECK(dy.rank() == 4 && dy.dim(0) == ds.n && dy.dim(1) == ds.ih &&
+            dy.dim(2) == ds.iw && dy.dim(3) == ds.ic);
+  IWG_CHECK(w.rank() == 4 && w.dim(0) == s.oc && w.dim(1) == s.fh &&
+            w.dim(2) == s.fw && w.dim(3) == s.ic);
+  // The memo's deconv mode reads the rotated/channel-swapped filter out of
+  // `w` in place, and its cache entries stay keyed on the original weights;
   // the deconv flag separates them from the forward transforms.
   FilterCacheRef dfc = fc;
   dfc.key = fc.key != nullptr ? fc.key : static_cast<const void*>(w.data());
   dfc.deconv = true;
-  return conv2d_gamma_host(dy, wd, ds, plan, dfc);
+  detail::TransformMemo transforms(w, dfc);
+  return run_plan(dy, ds, plan, transforms, 1);
 }
 
 }  // namespace iwg::core
 
 namespace iwg::core {
+
+namespace {
+
+// dW's scratch per call, in the calling thread's arena: one K-chunk of
+// both operand panels (allocated first, as one piece) and the accumulators
+// of one pass over a group of row blocks. A panel chunk holds at least one
+// dY row and its halo, and a pass at least one row block, so a layer whose
+// single row or block is larger exceeds these bounds.
+constexpr std::int64_t kGradPanelFloats = std::int64_t{1} << 17;  // 512 KiB
+constexpr std::int64_t kGradAccFloats = std::int64_t{160} << 10;  // 640 KiB
+// Accumulator rows per GEMM task: one axpy_rank1_multi octet.
+constexpr std::int64_t kGradRowBlock = 8;
+// Images per transpose group when a panel is stored K-contiguous.
+constexpr std::int64_t kGradImageGroup = 16;
+
+/// One operand panel of the Γ-domain weight gradient: the α-point
+/// transforms of every (image row, tile, image) window of a run of image
+/// rows, K ordered (row, tile, image) with the image innermost so that a
+/// filter-row shift is a contiguous offset of K. The lane operand keeps
+/// each transform's output rows whole, [t][k][c]; the row operand is
+/// stored K-contiguous, [t][c][k], because axpy_rank1_multi reads each
+/// accumulator row's coefficients as one run.
+struct GradPanel {
+  float* data = nullptr;
+  std::int64_t first = 0;  ///< first image row stored
+  std::int64_t rows = 0;   ///< image rows stored
+  std::int64_t k_cap = 0;  ///< K stride of a t plane (or of a [t][c] row)
+  std::int64_t c = 0;      ///< channels
+  bool k_inner = false;    ///< [t][c][k] rather than [t][k][c]
+};
+
+/// Transforms the windows of every image at (image row, tile) into `p`.
+/// taps_of(n, row, tile, taps) fills the `cols` source rows of one window
+/// (nullptr for zero padding).
+template <class Taps>
+void fill_grad_panel(const GradPanel& p, const float* mat, int alpha,
+                     int cols, std::int64_t row, std::int64_t tw,
+                     std::int64_t tiles_w, std::int64_t n_images,
+                     const Taps& taps_of, const HostKernels& hk) {
+  const float* taps[16];
+  const std::int64_t k0 = ((row - p.first) * tiles_w + tw) * n_images;
+  if (!p.k_inner) {
+    for (std::int64_t n = 0; n < n_images; ++n) {
+      taps_of(n, row, tw, taps);
+      hk.transform_cols(mat, alpha, cols, taps, p.c, p.data + (k0 + n) * p.c,
+                        p.k_cap * p.c);
+    }
+    return;
+  }
+  // K-contiguous: transform a group of images, then write each (t, c) row's
+  // run of images at once.
+  ScratchArena& arena = ScratchArena::local();
+  const ScratchArena::Scope scope(arena);
+  const std::int64_t win = alpha * p.c;
+  float* tmp = arena.alloc_floats(
+      static_cast<std::size_t>(std::min(kGradImageGroup, n_images) * win));
+  for (std::int64_t n0 = 0; n0 < n_images; n0 += kGradImageGroup) {
+    const std::int64_t nn = std::min(kGradImageGroup, n_images - n0);
+    for (std::int64_t n = 0; n < nn; ++n) {
+      taps_of(n0 + n, row, tw, taps);
+      hk.transform_cols(mat, alpha, cols, taps, p.c, tmp + n * win, p.c);
+    }
+    for (std::int64_t tc = 0; tc < win; ++tc) {
+      float* dst = p.data + tc * p.k_cap + k0 + n0;
+      for (std::int64_t n = 0; n < nn; ++n) dst[n] = tmp[n * win + tc];
+    }
+  }
+}
+
+}  // namespace
 
 TensorF conv2d_filter_grad_winograd(const TensorF& x, const TensorF& dy,
                                     const ConvShape& s) {
@@ -396,74 +486,155 @@ TensorF conv2d_filter_grad_winograd(const TensorF& x, const TensorF& dy,
   const std::int64_t ow = s.ow();
   const std::int64_t tiles_w = (ow + m - 1) / m;  // zero-padded tail tiles
 
-  TensorF dw({s.oc, s.fh, s.fw, s.ic});
+  // dW as α independent GEMMs per filter row, m̂[fh][t] = D̂[t]ᵀ·Ĝ[t], whose
+  // K axis runs over (row, tile, image) — DESIGN §8, "Training passes".
+  // The lane axis is IC when IC fills whole vectors (or is the wider
+  // side), so out_transform writes dW rows in place; otherwise OC.
+  const bool ic_lanes = s.ic % 8 == 0 || s.ic >= s.oc;
+  const std::int64_t lanes = ic_lanes ? s.ic : s.oc;
+  const std::int64_t acc_rows = ic_lanes ? s.oc : s.ic;
+  const std::int64_t row_k = tiles_w * s.n;  // K entries per image row
+  // When both panels of the whole K fit, they are built once and every pass
+  // over the row blocks reuses them; otherwise each pass walks K-chunks of
+  // dY rows of equal height, each with the input-row halo it reads.
+  const std::int64_t blocks = (acc_rows + kGradRowBlock - 1) / kGradRowBlock;
+  const std::int64_t block_acc = s.fh * alpha * kGradRowBlock * lanes;
+  const std::int64_t panel_row = alpha * row_k;  // floats per row·channel
+  const std::int64_t halo = s.fh - 1;
+  const bool one_chunk =
+      panel_row * (s.ih * s.ic + oh * s.oc) <= kGradPanelFloats;
+  std::int64_t chunk = oh;
+  if (!one_chunk) {
+    chunk = std::clamp<std::int64_t>(
+        (kGradPanelFloats / panel_row - halo * s.ic) / (s.ic + s.oc), 1, oh);
+    const std::int64_t chunks = (oh + chunk - 1) / chunk;
+    chunk = (oh + chunks - 1) / chunks;
+  }
+  const std::int64_t x_cap = std::min(s.ih, chunk + halo) * row_k;
+  const std::int64_t y_cap = chunk * row_k;
+  const std::int64_t pass_blocks =
+      std::clamp<std::int64_t>(kGradAccFloats / block_acc, 1, blocks);
+  const std::int64_t pass_rows =
+      std::min(acc_rows, pass_blocks * kGradRowBlock);
 
-  // One fh slice at a time keeps the state accumulator at α·IC·OC floats.
-  // Parallelism across fh (outer) — rows accumulate into the shared slice.
-  parallel_for(s.fh, [&](std::int64_t fh) {
-    ScratchArena& arena = ScratchArena::local();
-    const ScratchArena::Scope scope(arena);
-    float* macc =
-        arena.alloc_floats(static_cast<std::size_t>(alpha) * s.ic * s.oc);
-    float* ghat = arena.alloc_floats(static_cast<std::size_t>(alpha) * s.oc);
-    float* dhat = arena.alloc_floats(static_cast<std::size_t>(alpha) * s.ic);
-    std::fill(macc, macc + static_cast<std::int64_t>(alpha) * s.ic * s.oc,
-              0.0f);
-    const float* taps[16];
-    for (std::int64_t ni = 0; ni < s.n; ++ni) {
-      for (std::int64_t h = 0; h < oh; ++h) {
-        const std::int64_t ihp = h + fh - s.ph;
-        if (ihp < 0 || ihp >= s.ih) continue;
-        for (std::int64_t tw = 0; tw < tiles_w; ++tw) {
-          const std::int64_t ow0 = tw * m;
-          // ĝ[t][oc] — the dY chunk is the Winograd "filter"; its m taps
-          // are NHWC row slices, so the transform runs OC-lane-parallel.
-          for (int i = 0; i < m; ++i) {
-            taps[i] = ow0 + i < ow ? &dy.at(ni, h, ow0 + i, 0) : nullptr;
+  TensorF dw({s.oc, s.fh, s.fw, s.ic});
+  ScratchArena& arena = ScratchArena::local();
+  const ScratchArena::Scope scope(arena);
+  GradPanel xp;  // D̂: the α-wide X windows, B^T-transformed
+  xp.data = arena.alloc_floats(
+      static_cast<std::size_t>(alpha * (x_cap * s.ic + y_cap * s.oc)));
+  xp.k_cap = x_cap;
+  xp.c = s.ic;
+  xp.k_inner = !ic_lanes;
+  GradPanel yp;  // Ĝ: the m-tap dY tiles, G-transformed
+  yp.data = xp.data + alpha * x_cap * s.ic;
+  yp.k_cap = y_cap;
+  yp.c = s.oc;
+  yp.k_inner = ic_lanes;
+  float* macc = arena.alloc_floats(
+      static_cast<std::size_t>(s.fh * alpha * pass_rows * lanes));
+  const GradPanel& lane_p = ic_lanes ? xp : yp;
+  const GradPanel& row_p = ic_lanes ? yp : xp;
+
+  auto x_taps = [&](std::int64_t n, std::int64_t ih, std::int64_t tw,
+                    const float** taps) {
+    const std::int64_t iw0 = tw * m - s.pw;
+    for (int e = 0; e < alpha; ++e) {
+      const std::int64_t iw = iw0 + e;
+      taps[e] = iw >= 0 && iw < s.iw ? &x.at(n, ih, iw, 0) : nullptr;
+    }
+  };
+  auto y_taps = [&](std::int64_t n, std::int64_t h, std::int64_t tw,
+                    const float** taps) {
+    const std::int64_t ow0 = tw * m;
+    for (int i = 0; i < m; ++i) {
+      taps[i] = ow0 + i < ow ? &dy.at(n, h, ow0 + i, 0) : nullptr;
+    }
+  };
+
+  for (std::int64_t b0 = 0; b0 < blocks; b0 += pass_blocks) {
+    const std::int64_t b1 = std::min(blocks, b0 + pass_blocks);
+    const std::int64_t r_first = b0 * kGradRowBlock;
+    const std::int64_t r_end = std::min(acc_rows, b1 * kGradRowBlock);
+    for (std::int64_t h0 = 0; h0 < oh; h0 += chunk) {
+      const std::int64_t h1 = std::min(oh, h0 + chunk);
+      // Input rows any (dY row, filter row) pair of this chunk reads.
+      xp.first = std::max<std::int64_t>(0, h0 - s.ph);
+      xp.rows = std::max<std::int64_t>(
+          0, std::min(s.ih, h1 + halo - s.ph) - xp.first);
+      yp.first = h0;
+      yp.rows = h1 - h0;
+      const std::int64_t build =
+          one_chunk && b0 > 0 ? 0 : (xp.rows + yp.rows) * tiles_w;
+      parallel_for(build, parallel_grain(build), [&](std::int64_t job) {
+        const std::int64_t row = job / tiles_w;
+        const std::int64_t tw = job % tiles_w;
+        if (row < xp.rows) {
+          fill_grad_panel(xp, plan.bt_f.data(), alpha, alpha, xp.first + row,
+                          tw, tiles_w, s.n, x_taps, hk);
+        } else {
+          fill_grad_panel(yp, plan.g_f.data(), alpha, m,
+                          yp.first + row - xp.rows, tw, tiles_w, s.n, y_taps,
+                          hk);
+        }
+      });
+      // One task per (t, block of accumulator rows): it owns those rows of
+      // every filter row, so no two tasks write one float.
+      parallel_for(alpha * (b1 - b0), [&](std::int64_t task) {
+        const std::int64_t t = task / (b1 - b0);
+        const std::int64_t r0 = (b0 + task % (b1 - b0)) * kGradRowBlock;
+        const std::int64_t nb = std::min(kGradRowBlock, acc_rows - r0);
+        const float* ds[kGradRowBlock];
+        float* ms[kGradRowBlock];
+        for (std::int64_t fh = 0; fh < s.fh; ++fh) {
+          float* mt = macc + ((fh * alpha + t) * pass_rows + r0 - r_first) *
+                                 lanes;
+          if (h0 == 0) std::fill(mt, mt + nb * lanes, 0.0f);
+          // dY rows h of the chunk whose input row h + fh − ph exists.
+          const std::int64_t ha = std::max(h0, s.ph - fh);
+          const std::int64_t hb = std::min(h1, s.ih + s.ph - fh);
+          if (ha >= hb) continue;
+          const std::int64_t ky = (ha - yp.first) * row_k;
+          const std::int64_t kx = (ha + fh - s.ph - xp.first) * row_k;
+          const std::int64_t k_lane = ic_lanes ? kx : ky;
+          const std::int64_t k_row = ic_lanes ? ky : kx;
+          for (std::int64_t r = 0; r < nb; ++r) {
+            ds[r] = row_p.data + (t * acc_rows + r0 + r) * row_p.k_cap + k_row;
+            ms[r] = mt + r * lanes;
           }
-          hk.transform_cols(plan.g_f.data(), alpha, m, taps, s.oc, ghat,
-                            s.oc);
-          // d̂[t][ic] — the α-wide X window is the Winograd "input".
-          const std::int64_t iw0 = ow0 - s.pw;
-          for (int e = 0; e < alpha; ++e) {
-            const std::int64_t iw = iw0 + e;
-            taps[e] = (iw >= 0 && iw < s.iw) ? &x.at(ni, ihp, iw, 0)
-                                             : nullptr;
-          }
-          hk.transform_cols(plan.bt_f.data(), alpha, alpha, taps, s.ic, dhat,
-                            s.ic);
-          // State-domain outer-product accumulation over (row, tile).
-          for (int t = 0; t < alpha; ++t) {
-            const float* grow = ghat + static_cast<std::size_t>(t) * s.oc;
-            const float* drow = dhat + static_cast<std::size_t>(t) * s.ic;
-            float* mbase = macc + static_cast<std::size_t>(t) * s.ic * s.oc;
-            for (std::int64_t ic = 0; ic < s.ic; ++ic) {
-              const float dv = drow[ic];
-              if (dv == 0.0f) continue;
-              hk.saxpy(dv, grow, mbase + ic * s.oc, s.oc);
-            }
+          hk.axpy_rank1_multi(
+              ds, lane_p.data + (t * lane_p.k_cap + k_lane) * lanes, ms,
+              static_cast<int>(nb), (hb - ha) * row_k, lanes);
+        }
+      });
+    }
+    // Output transform: dW[oc][fh][j][ic] = Σ_t A^T[j][t] · m̂[fh][t].
+    const std::int64_t outs = s.fh * (r_end - r_first);
+    const std::int64_t t_stride = pass_rows * lanes;
+    parallel_for(outs, parallel_grain(outs), [&](std::int64_t job) {
+      const std::int64_t fh = job / (r_end - r_first);
+      const std::int64_t r = r_first + job % (r_end - r_first);
+      const float* mrow = macc + (fh * alpha * pass_rows + r - r_first) * lanes;
+      ScratchArena& task_arena = ScratchArena::local();
+      const ScratchArena::Scope task_scope(task_arena);
+      float* tmp = ic_lanes ? nullptr
+                            : task_arena.alloc_floats(
+                                  static_cast<std::size_t>(lanes));
+      for (std::int64_t j = 0; j < s.fw; ++j) {
+        const float* at_row = &plan.at_f[static_cast<std::size_t>(j) * alpha];
+        if (ic_lanes) {
+          hk.out_transform(at_row, alpha, mrow, t_stride, &dw.at(r, fh, j, 0),
+                           lanes);
+        } else {
+          // OC on the lanes: the one scatter left, dW rows being IC-major.
+          hk.out_transform(at_row, alpha, mrow, t_stride, tmp, lanes);
+          for (std::int64_t oc = 0; oc < lanes; ++oc) {
+            dw.at(oc, fh, j, r) = tmp[oc];
           }
         }
       }
-    }
-    // Output transform: dW[oc][fh][j][ic] = Σ_t A^T[j][t] · m̂[t][ic][oc].
-    for (std::int64_t j = 0; j < s.fw; ++j) {
-      const float* at_row =
-          &plan.at_f[static_cast<std::size_t>(j) * alpha];
-      for (std::int64_t ic = 0; ic < s.ic; ++ic) {
-        for (std::int64_t oc = 0; oc < s.oc; ++oc) {
-          float acc = 0.0f;
-          for (int t = 0; t < alpha; ++t) {
-            const float a = at_row[t];
-            if (a == 0.0f) continue;
-            acc += a * macc[(static_cast<std::size_t>(t) * s.ic + ic) * s.oc +
-                            oc];
-          }
-          dw.at(oc, fh, j, ic) = acc;
-        }
-      }
-    }
-  });
+    });
+  }
   return dw;
 }
 

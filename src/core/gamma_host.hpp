@@ -103,7 +103,9 @@ struct FilterCacheRef {
   FilterTransformCache* cache = nullptr;  ///< nullptr: per-call reuse only
   std::uint64_t version = 0;              ///< weights version (cache key)
   const void* key = nullptr;              ///< nullptr: use w.data()
-  bool deconv = false;                    ///< backward-data transform flag
+  /// Backward-data transforms: `w` is still the forward OC,FH,FW,IC filter,
+  /// read rotated and channel-swapped in place (deconv2d_gamma_host only).
+  bool deconv = false;
 };
 
 namespace detail {
@@ -111,8 +113,9 @@ namespace detail {
 /// The filter transforms of one dispatch — ĝ per Γ geometry (α, r) and the
 /// GEMM panel — each fetched or computed once per call, through the
 /// cross-call cache when `fc` names one. A ruse prefix and its base mop-up
-/// share an entry, and repeat segments stay off the cache lock. Returned
-/// pointers live as long as the memo.
+/// share an entry, and repeat segments stay off the cache lock. With
+/// `fc.deconv`, both come out in the deconvolution's layout, read from the
+/// forward filter `w`. Returned pointers live as long as the memo.
 class TransformMemo {
  public:
   TransformMemo(const TensorF& w, const FilterCacheRef& fc) : w_(w), fc_(fc) {}
@@ -158,8 +161,9 @@ TensorF conv2d_gamma_host(const TensorF& x, const TensorF& w,
                           std::int64_t stride = 1);
 
 /// Backward-data (deconvolution) through the same engine: the filter
-/// rotation/channel swap is folded into the filter transform. A cache ref
-/// is keyed on the *original* weights with the deconv flag set.
+/// rotation/channel swap is folded into the filter transform, which reads
+/// `w` in place (no rotated copy). A cache ref is keyed on the *original*
+/// weights with the deconv flag set.
 TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
                             const ConvShape& s,
                             const std::vector<Segment>& plan,
@@ -170,7 +174,9 @@ TensorF deconv2d_gamma_host(const TensorF& dy, const TensorF& w,
 /// correlation dW[oc,fh,j,ic] = Σ dY[...]·X[...+j] is itself a 1-D
 /// correlation along W with the dY row acting as the filter, so F(fw, m)
 /// with m = α+1−fw applies. Requires 2 ≤ fw ≤ 9; α is 8 for fw ≤ 7 and 16
-/// otherwise. Zero-padded tail tiles handle OW % m ≠ 0.
+/// otherwise. Zero-padded tail tiles handle OW % m ≠ 0. Per filter row it
+/// runs α GEMMs on axpy_rank1_multi over K = (row, tile, image) (DESIGN
+/// §8); tests/filter_grad_test.cpp bounds its error against FP64.
 TensorF conv2d_filter_grad_winograd(const TensorF& x, const TensorF& dy,
                                     const ConvShape& s);
 

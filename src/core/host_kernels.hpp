@@ -28,8 +28,8 @@
 //
 //   axpy_rank1,      ULP-BOUNDED. Same ascending-k / ascending-t term order
 //   axpy_rank1_multi,as the scalar reference, but FMA contraction is
-//   saxpy,           allowed: each fused multiply-add skips the multiply's
-//   out_transform    intermediate rounding, so an element may differ from
+//   out_transform    allowed: each fused multiply-add skips the multiply's
+//                    intermediate rounding, so an element may differ from
 //                    the scalar result by at most one rounding per term:
 //                    |simd − scalar| ≤ K·ε·Σ|terms|, K the term count.
 //                    out_transform is dense like transform_cols; axpy_rank1
@@ -39,11 +39,13 @@
 // axpy_rank1_multi is the engine's one accumulate: the Γ state-domain
 // update, the implicit-GEMM body (one call per filter tap over an
 // [IC][OC] panel plane, input pixels as row pointers, null for padding —
-// the §5.5 GEMM tail, the GEMM engine and every strided layer) and
-// nn::Linear (one call per block of batch rows against W's [D][M]). In all
-// three, each output element's terms run in ascending k with one rounding
-// per multiply and per add on scalar and one FMA each on vector ISAs, and
-// a row's result does not depend on which rows share its block.
+// the §5.5 GEMM tail, the GEMM engine and every strided layer), the
+// Γ-domain weight gradient (one call per filter row over a K-chunk of
+// transformed (row, tile, image) windows) and nn::Linear (one call per
+// block of batch rows against W's [D][M]). In all four, each output
+// element's terms run in ascending k with one rounding per multiply and
+// per add on scalar and one FMA each on vector ISAs, and a row's result
+// does not depend on which rows share its block.
 //
 // Whatever the entry's contract, one fixed table is deterministic: the same
 // inputs through the same ISA give bit-identical results run to run.
@@ -97,9 +99,6 @@ struct HostKernels {
   void (*axpy_rank1_multi)(const float* const* ds, const float* g,
                            float* const* ms, int rows, std::int64_t kc,
                            std::int64_t nj);
-
-  /// y[j] += a · x[j]. Contract: ULP-bounded vs scalar (one FMA per term).
-  void (*saxpy)(float a, const float* x, float* y, std::int64_t n);
 
   /// y[j] = Σ_t at[t] · m[t·mstride + j] for j < n, terms in ascending t
   /// (dense — zero at entries included). Contract: ULP-bounded vs scalar.

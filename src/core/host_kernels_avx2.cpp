@@ -294,16 +294,6 @@ void axpy_rank1_multi_avx2(const float* const* ds, const float* g,
   for (int i = 0; i < n; ++i) axpy_rank1_avx2(d[i], g, m[i], kc, nj);
 }
 
-void saxpy_avx2(float a, const float* x, float* y, std::int64_t n) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(
-        y + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + j), _mm256_loadu_ps(y + j)));
-  }
-  for (; j < n; ++j) y[j] = std::fmaf(a, x[j], y[j]);
-}
-
 // Dense like transform_cols (zero A^T entries folded in): branch-free
 // inner loop, ascending t, one FMA per term.
 void out_transform_avx2(const float* at, int alpha, const float* m,
@@ -336,8 +326,7 @@ const HostKernels* host_kernels_avx2() {
     return nullptr;
   static const HostKernels table = {
       transform_cols_avx2, axpy_rank1_avx2, axpy_rank1_multi_avx2,
-      saxpy_avx2,          out_transform_avx2,
-      "avx2",              HostIsa::kAvx2,
+      out_transform_avx2,  "avx2",          HostIsa::kAvx2,
   };
   return &table;
 }

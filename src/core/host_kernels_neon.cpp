@@ -281,15 +281,6 @@ void axpy_rank1_multi_neon(const float* const* ds, const float* g,
   for (int i = 0; i < n; ++i) axpy_rank1_neon(d[i], g, m[i], kc, nj);
 }
 
-void saxpy_neon(float a, const float* x, float* y, std::int64_t n) {
-  const float32x4_t av = vdupq_n_f32(a);
-  std::int64_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    vst1q_f32(y + j, vfmaq_f32(vld1q_f32(y + j), av, vld1q_f32(x + j)));
-  }
-  for (; j < n; ++j) y[j] = std::fmaf(a, x[j], y[j]);
-}
-
 // Dense like transform_cols: branch-free, ascending t, one FMA per term.
 void out_transform_neon(const float* at, int alpha, const float* m,
                         std::int64_t mstride, float* y, std::int64_t n) {
@@ -318,8 +309,7 @@ void out_transform_neon(const float* at, int alpha, const float* m,
 const HostKernels* host_kernels_neon() {
   static const HostKernels table = {
       transform_cols_neon, axpy_rank1_neon, axpy_rank1_multi_neon,
-      saxpy_neon,          out_transform_neon,
-      "neon",              HostIsa::kNeon,
+      out_transform_neon,  "neon",          HostIsa::kNeon,
   };
   return &table;
 }

@@ -79,11 +79,6 @@ void axpy_rank1_multi_scalar(const float* const* ds, const float* g,
   }
 }
 
-void saxpy_scalar(float a, const float* __restrict x, float* __restrict y,
-                  std::int64_t n) {
-  for (std::int64_t j = 0; j < n; ++j) y[j] += a * x[j];
-}
-
 // Dense for the same reason as transform_cols: zero A^T entries are folded
 // in, keeping one op sequence across every table.
 void out_transform_scalar(const float* at, int alpha, const float* m,
@@ -102,8 +97,7 @@ void out_transform_scalar(const float* at, int alpha, const float* m,
 const HostKernels& host_kernels_scalar() {
   static const HostKernels table = {
       transform_cols_scalar, axpy_rank1_scalar, axpy_rank1_multi_scalar,
-      saxpy_scalar,          out_transform_scalar,
-      "scalar",              HostIsa::kScalar,
+      out_transform_scalar,  "scalar",          HostIsa::kScalar,
   };
   return table;
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/arena.hpp"
 #include "common/thread_pool.hpp"
 #include "core/conv_api.hpp"
 #include "core/filter_cache.hpp"
@@ -384,36 +385,108 @@ BatchNorm2D::BatchNorm2D(std::int64_t channels, float momentum, float eps)
   inv_std_.resize(static_cast<std::size_t>(channels));
 }
 
+namespace {
+
+/// Rows per block of BatchNorm2D's training passes. A constant: the
+/// partition, and with it every FP64 partial and the order the partials
+/// combine in, depends on the tensor's shape alone, not on the pool size.
+constexpr std::int64_t kBnRowBlock = 256;
+
+std::int64_t bn_blocks(std::int64_t rows) {
+  return (rows + kBnRowBlock - 1) / kBnRowBlock;
+}
+
+/// body(first_row, end_row) per fixed row block, across the pool.
+template <class Body>
+void for_bn_blocks(std::int64_t rows, const Body& body) {
+  parallel_for(bn_blocks(rows), [&](std::int64_t b) {
+    body(b * kBnRowBlock, std::min(rows, (b + 1) * kBnRowBlock));
+  });
+}
+
+/// Per-column FP64 sums of `width` columns: add(row, acc) adds one row's
+/// terms into acc[0, width). Each fixed row block sums into its own
+/// partial; the partials are then added in block order.
+template <class Add>
+std::vector<double> bn_column_sums(std::int64_t rows, std::int64_t width,
+                                   const Add& add) {
+  const std::int64_t blocks = bn_blocks(rows);
+  std::vector<double> part(static_cast<std::size_t>(blocks * width));
+  parallel_for(blocks, [&](std::int64_t b) {
+    // A task-local accumulator: adjacent blocks' partials share cache lines.
+    ScratchArena& arena = ScratchArena::local();
+    const ScratchArena::Scope scope(arena);
+    auto* acc = static_cast<double*>(
+        arena.alloc(static_cast<std::size_t>(width) * sizeof(double)));
+    std::fill(acc, acc + width, 0.0);
+    const std::int64_t end = std::min(rows, (b + 1) * kBnRowBlock);
+    for (std::int64_t i = b * kBnRowBlock; i < end; ++i) add(i, acc);
+    std::copy(acc, acc + width, part.begin() + b * width);
+  });
+  std::vector<double> sum(static_cast<std::size_t>(width), 0.0);
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    for (std::int64_t c = 0; c < width; ++c) {
+      sum[static_cast<std::size_t>(c)] +=
+          part[static_cast<std::size_t>(b * width + c)];
+    }
+  }
+  return sum;
+}
+
+}  // namespace
+
+// Training runs row-major passes over fixed row blocks split across the
+// pool (DESIGN §8): per-channel FP64 sums, then FP64 squared deviations
+// from the mean, then one normalize pass that writes x̂ and y.
 TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
   if (!train) return infer(x);
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
-  const std::int64_t m = x.size() / channels_;
+  const std::int64_t c = channels_;
+  const std::int64_t m = x.size() / c;
   TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
   xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
   count_ = m;
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    double mean = 0.0;
-    for (std::int64_t i = 0; i < m; ++i) mean += x[i * channels_ + c];
-    mean /= static_cast<double>(m);
-    double var = 0.0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const double d = x[i * channels_ + c] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(m);
-    const float inv = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-    inv_std_[static_cast<std::size_t>(c)] = inv;
-    running_mean_[c] = momentum_ * running_mean_[c] +
-                       (1.0f - momentum_) * static_cast<float>(mean);
-    running_var_[c] = momentum_ * running_var_[c] +
-                      (1.0f - momentum_) * static_cast<float>(var);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float xh =
-          (x[i * channels_ + c] - static_cast<float>(mean)) * inv;
-      xhat_[i * channels_ + c] = xh;
-      y[i * channels_ + c] = gamma_.value[c] * xh + beta_.value[c];
-    }
+  const float* xd = x.data();
+  std::vector<double> mean =
+      bn_column_sums(m, c, [&](std::int64_t i, double* acc) {
+        const float* row = xd + i * c;
+        for (std::int64_t k = 0; k < c; ++k) acc[k] += row[k];
+      });
+  for (double& v : mean) v /= static_cast<double>(m);
+  std::vector<double> var =
+      bn_column_sums(m, c, [&](std::int64_t i, double* acc) {
+        const float* row = xd + i * c;
+        for (std::int64_t k = 0; k < c; ++k) {
+          const double d = row[k] - mean[static_cast<std::size_t>(k)];
+          acc[k] += d * d;
+        }
+      });
+  std::vector<float> mean_f(static_cast<std::size_t>(c));
+  for (std::int64_t k = 0; k < c; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    var[kk] /= static_cast<double>(m);
+    mean_f[kk] = static_cast<float>(mean[kk]);
+    inv_std_[kk] = 1.0f / std::sqrt(static_cast<float>(var[kk]) + eps_);
+    running_mean_[k] =
+        momentum_ * running_mean_[k] + (1.0f - momentum_) * mean_f[kk];
+    running_var_[k] = momentum_ * running_var_[k] +
+                      (1.0f - momentum_) * static_cast<float>(var[kk]);
   }
+  const float* mu = mean_f.data();
+  const float* inv = inv_std_.data();
+  const float* gamma = gamma_.value.data();
+  const float* beta = beta_.value.data();
+  float* xh = xhat_.data();
+  float* yd = y.data();
+  for_bn_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0 * c; i < r1 * c; i += c) {
+      for (std::int64_t k = 0; k < c; ++k) {
+        const float v = (xd[i + k] - mu[k]) * inv[k];
+        xh[i + k] = v;
+        yd[i + k] = gamma[k] * v + beta[k];
+      }
+    }
+  });
   return y;
 }
 
@@ -439,28 +512,45 @@ BatchNorm2D::Affine BatchNorm2D::inference_affine() const {
 
 TensorF BatchNorm2D::backward(const TensorF& dy) {
   IWG_CHECK(!xhat_.empty());
+  const std::int64_t c = channels_;
   const std::int64_t m = count_;
   TensorF dx(std::vector<std::int64_t>{dy.dim(0), dy.dim(1), dy.dim(2),
                                        dy.dim(3)});
-  for (std::int64_t c = 0; c < channels_; ++c) {
-    double sum_dy = 0.0;
-    double sum_dy_xhat = 0.0;
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float g = dy[i * channels_ + c];
-      sum_dy += g;
-      sum_dy_xhat += g * xhat_[i * channels_ + c];
-    }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
-    const float inv = inv_std_[static_cast<std::size_t>(c)];
-    const float k1 = static_cast<float>(sum_dy / static_cast<double>(m));
-    const float k2 = static_cast<float>(sum_dy_xhat / static_cast<double>(m));
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float g = dy[i * channels_ + c];
-      dx[i * channels_ + c] = gamma_.value[c] * inv *
-                              (g - k1 - xhat_[i * channels_ + c] * k2);
-    }
+  const float* g = dy.data();
+  const float* xh = xhat_.data();
+  // Columns [0, C) sum dy, columns [C, 2C) sum dy·x̂.
+  const std::vector<double> sums =
+      bn_column_sums(m, 2 * c, [&](std::int64_t i, double* acc) {
+        const float* gr = g + i * c;
+        const float* xr = xh + i * c;
+        for (std::int64_t k = 0; k < c; ++k) {
+          acc[k] += gr[k];
+          acc[c + k] += gr[k] * xr[k];
+        }
+      });
+  std::vector<float> scale(static_cast<std::size_t>(c));
+  std::vector<float> k1(static_cast<std::size_t>(c));
+  std::vector<float> k2(static_cast<std::size_t>(c));
+  for (std::int64_t k = 0; k < c; ++k) {
+    const auto kk = static_cast<std::size_t>(k);
+    const double sum_dy = sums[kk];
+    const double sum_dy_xhat = sums[kk + static_cast<std::size_t>(c)];
+    gamma_.grad[k] += static_cast<float>(sum_dy_xhat);
+    beta_.grad[k] += static_cast<float>(sum_dy);
+    scale[kk] = gamma_.value[k] * inv_std_[kk];
+    k1[kk] = static_cast<float>(sum_dy / static_cast<double>(m));
+    k2[kk] = static_cast<float>(sum_dy_xhat / static_cast<double>(m));
   }
+  float* dd = dx.data();
+  for_bn_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
+    for (std::int64_t i = r0 * c; i < r1 * c; i += c) {
+      for (std::int64_t k = 0; k < c; ++k) {
+        dd[i + k] = scale[static_cast<std::size_t>(k)] *
+                    (g[i + k] - k1[static_cast<std::size_t>(k)] -
+                     xh[i + k] * k2[static_cast<std::size_t>(k)]);
+      }
+    }
+  });
   return dx;
 }
 

@@ -3,14 +3,19 @@
 // channel counts, and for the backward (deconvolution) pass.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/conv_api.hpp"
+#include "core/filter_cache.hpp"
 #include "core/gamma_host.hpp"
 #include "core/host_kernels.hpp"
 #include "reference/direct_conv.hpp"
 #include "tensor/metrics.hpp"
+#include "winograd/plan.hpp"
 
 namespace iwg::core {
 namespace {
@@ -247,9 +252,9 @@ TEST(GammaHost, GemmOnlyOptionMatches) {
 
 TEST(GammaHost, WinogradIsMoreAccurateThanGemmAtLargeChannels) {
   // The Table-3 effect: fewer multiplications → smaller rounding error.
-  // Pin the scalar engine: the effect is about operation counts under
-  // sequential accumulation, and the SIMD dot's lane-parallel partial sums
-  // would shrink the GEMM path's error independent of operation count.
+  // Pin the scalar engine: the effect is about operation counts, and the
+  // SIMD tables make each GEMM and Γ term one FMA (one rounding instead of
+  // two), which moves the error independently of the operation count.
   const HostIsa prev = host_isa();
   ASSERT_TRUE(set_host_isa(HostIsa::kScalar));
   ConvShape s;
@@ -273,6 +278,91 @@ TEST(GammaHost, WinogradIsMoreAccurateThanGemmAtLargeChannels) {
       average_relative_error(conv2d(x, w, s, gemm_only), truth);
   set_host_isa(prev);
   EXPECT_LT(err_wino, err_gemm);
+}
+
+// ĝ[fh][t][a][b] = Σ_j G[t][j] · tap(fh, j, a, b), the terms added to +0 in
+// ascending j with one rounding per multiply and per add.
+template <class Tap>
+std::vector<float> literal_ghat(const WinogradPlan& plan, std::int64_t fh_n,
+                                std::int64_t na, std::int64_t nb,
+                                const Tap& tap) {
+  std::vector<float> out(static_cast<std::size_t>(fh_n * plan.alpha * na * nb));
+  std::size_t i = 0;
+  for (std::int64_t fh = 0; fh < fh_n; ++fh) {
+    for (int t = 0; t < plan.alpha; ++t) {
+      for (std::int64_t a = 0; a < na; ++a) {
+        for (std::int64_t b = 0; b < nb; ++b) {
+          float acc = 0.0f;
+          for (int j = 0; j < plan.r; ++j) {
+            // volatile: the product is rounded before the add, never fused.
+            const volatile float p =
+                plan.g_f[static_cast<std::size_t>(t * plan.r + j)] *
+                tap(fh, j, a, b);
+            acc += p;
+          }
+          out[i++] = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FilterTransform, ForwardAndDeconvAreBitwiseTheLiteralFormula) {
+  // The forward ĝ[fh][t][ic][oc] reads w[oc][fh][j][ic]; the deconv ĝ
+  // [fh][t][oc][ic] reads w[oc][FH−1−fh][FW−1−j][ic] in place. Both must be
+  // the per-element formula bit for bit on every ISA (transform_cols is
+  // BITWISE), whichever axis the lanes run over.
+  const std::int64_t channels[][2] = {
+      {3, 16}, {16, 32}, {64, 64}, {128, 128}, {13, 21}};
+  const GammaConfig cfgs[] = {GammaConfig::make(4, 2, 3),
+                              GammaConfig::make(8, 6, 3),
+                              GammaConfig::make(16, 10, 7)};
+  struct IsaRestore {
+    HostIsa prev = host_isa();
+    ~IsaRestore() { set_host_isa(prev); }
+  } restore;
+  for (HostIsa isa : host_isa_available()) {
+    ASSERT_TRUE(set_host_isa(isa));
+    for (const auto& ch : channels) {
+      for (const GammaConfig& cfg : cfgs) {
+        ConvShape s;
+        s.n = 1;
+        s.ic = ch[0];
+        s.oc = ch[1];
+        s.fh = 3;
+        s.fw = cfg.r;
+        s.ih = 8;
+        s.iw = 16;
+        const TensorF w = rand_tensor({s.oc, s.fh, s.fw, s.ic},
+                                      static_cast<unsigned>(s.ic + cfg.alpha));
+        const WinogradPlan& plan = get_plan(cfg.n, cfg.r);
+        const std::vector<float> fwd = literal_ghat(
+            plan, s.fh, s.ic, s.oc,
+            [&](std::int64_t fh, int j, std::int64_t ic, std::int64_t oc) {
+              return w.at(oc, fh, j, ic);
+            });
+        const std::vector<float> dec = literal_ghat(
+            plan, s.fh, s.oc, s.ic,
+            [&](std::int64_t fh, int j, std::int64_t oc, std::int64_t ic) {
+              return w.at(oc, s.fh - 1 - fh, s.fw - 1 - j, ic);
+            });
+        const std::vector<float> got_fwd = transform_filter_host(w, s, cfg);
+        const std::vector<float> got_dec = deconv_transform_filter_host(w, cfg);
+        SCOPED_TRACE(std::string(host_isa_name(isa)) + " ic=" +
+                     std::to_string(s.ic) + " oc=" + std::to_string(s.oc) +
+                     " alpha=" + std::to_string(cfg.alpha));
+        ASSERT_EQ(got_fwd.size(), fwd.size());
+        ASSERT_EQ(got_dec.size(), dec.size());
+        EXPECT_EQ(std::memcmp(got_fwd.data(), fwd.data(),
+                              fwd.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(std::memcmp(got_dec.data(), dec.data(),
+                              dec.size() * sizeof(float)),
+                  0);
+      }
+    }
+  }
 }
 
 }  // namespace

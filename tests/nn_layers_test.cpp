@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
@@ -267,6 +268,86 @@ TEST(NnLayers, BatchNormNormalizesTrainingBatch) {
     var /= static_cast<double>(m);
     EXPECT_NEAR(mean, 0.0, 1e-4);
     EXPECT_NEAR(var, 1.0, 1e-2);
+  }
+}
+
+TEST(NnLayers, BatchNormTrainingMatchesFp64AndRepeatsBitwise) {
+  // Training BatchNorm sums in FP64 over fixed 256-row blocks; checked
+  // against an FP64 BatchNorm on row counts off the block grid (one ragged
+  // block; several blocks and a ragged tail; exact blocks) with channel
+  // counts off the 8-lane grid. The bound is in units of ε = 2^-24 over
+  // each output's own scale: the FP32 steps (mean and 1/σ rounded to
+  // float, x − μ, ·inv, γ·x̂ + β, and dx's three-term combination) round a
+  // few times each, so every output must land within 16·ε of its scale.
+  constexpr double kEps = 1.0 / (1 << 24);
+  const std::int64_t shapes[][4] = {{3, 7, 13, 5}, {2, 19, 23, 13},
+                                    {4, 16, 16, 9}};
+  for (const auto& sh : shapes) {
+    const std::int64_t c = sh[3];
+    const std::int64_t m = sh[0] * sh[1] * sh[2];
+    SCOPED_TRACE("rows=" + std::to_string(m) + " C=" + std::to_string(c));
+    BatchNorm2D bn(c);
+    Rng rng(static_cast<unsigned>(40 + m));
+    Param& gamma = *bn.params()[0];
+    Param& beta = *bn.params()[1];
+    gamma.value.fill_uniform(rng, 0.5f, 1.5f);
+    beta.value.fill_uniform(rng, -0.5f, 0.5f);
+    TensorF x({sh[0], sh[1], sh[2], c});
+    x.fill_uniform(rng, -1.0f, 3.0f);
+    TensorF dy({sh[0], sh[1], sh[2], c});
+    dy.fill_uniform(rng, -1.0f, 1.0f);
+
+    const TensorF y = bn.forward(x, true);
+    const TensorF dx = bn.backward(dy);
+    for (std::int64_t k = 0; k < c; ++k) {
+      double mean = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) mean += x[i * c + k];
+      mean /= static_cast<double>(m);
+      double var = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) {
+        var += (x[i * c + k] - mean) * (x[i * c + k] - mean);
+      }
+      var /= static_cast<double>(m);
+      const double inv = 1.0 / std::sqrt(var + 1e-5);
+      const double g = gamma.value[k];
+      double sum_dy = 0.0;
+      double sum_dy_xhat = 0.0;
+      double sum_abs_dy = 0.0;
+      for (std::int64_t i = 0; i < m; ++i) {
+        const double xh = (x[i * c + k] - mean) * inv;
+        sum_dy += dy[i * c + k];
+        sum_dy_xhat += dy[i * c + k] * xh;
+        sum_abs_dy += std::abs(dy[i * c + k]) * (1.0 + std::abs(xh));
+      }
+      const double k1 = sum_dy / static_cast<double>(m);
+      const double k2 = sum_dy_xhat / static_cast<double>(m);
+      const double shift = std::abs(mean) * inv;  // μ's rounding, in x̂ units
+      for (std::int64_t i = 0; i < m; ++i) {
+        const double xh = (x[i * c + k] - mean) * inv;
+        const double y64 = g * xh + beta.value[k];
+        const double y_scale =
+            std::abs(g) * (std::abs(xh) + shift + 1.0) + std::abs(y64);
+        ASSERT_LE(std::abs(y[i * c + k] - y64), 16 * kEps * y_scale)
+            << "y at row " << i << " channel " << k;
+        const double dx64 = g * inv * (dy[i * c + k] - k1 - xh * k2);
+        const double dx_scale =
+            std::abs(g) * inv *
+            (std::abs(dy[i * c + k]) + std::abs(k1) +
+             (std::abs(xh) + shift + 1.0) * std::abs(k2) + 1.0);
+        ASSERT_LE(std::abs(dx[i * c + k] - dx64), 16 * kEps * dx_scale)
+            << "dx at row " << i << " channel " << k;
+      }
+      EXPECT_LE(std::abs(gamma.grad[k] - sum_dy_xhat),
+                16 * kEps * (1.0 + shift) * sum_abs_dy);
+      EXPECT_LE(std::abs(beta.grad[k] - sum_dy), kEps * sum_abs_dy);
+    }
+
+    // Same layer, same input: forward and backward repeat bit for bit.
+    const TensorF y2 = bn.forward(x, true);
+    const TensorF dx2 = bn.backward(dy);
+    EXPECT_EQ(std::memcmp(y.data(), y2.data(), y.size() * sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(dx.data(), dx2.data(), dx.size() * sizeof(float)),
+              0);
   }
 }
 
