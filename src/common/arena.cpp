@@ -44,7 +44,7 @@ void ScratchArena::grow(std::size_t min_bytes) {
   // operator new[] only guarantees 16-byte alignment; over-allocate and
   // round the base up so every offset (a kAlign multiple) is truly aligned.
   Block b;
-  b.data = std::make_unique<std::byte[]>(cap + kAlign - 1);
+  b.data = std::make_unique_for_overwrite<std::byte[]>(cap + kAlign - 1);
   const auto raw = reinterpret_cast<std::uintptr_t>(b.data.get());
   b.base = b.data.get() + ((kAlign - raw % kAlign) % kAlign);
   b.cap = cap;
@@ -53,9 +53,9 @@ void ScratchArena::grow(std::size_t min_bytes) {
 
 void* ScratchArena::alloc(std::size_t bytes) {
   bytes = std::max<std::size_t>((bytes + kAlign - 1) & ~(kAlign - 1), kAlign);
-  // Skip forward past blocks too small for this request; release() restores
-  // the exact (block, offset) cursor, so skipped tails are only fragmentation
-  // for the lifetime of the current scope.
+  // Skip forward past blocks too small for this request; scope exit
+  // restores the exact (block, offset) cursor, so skipped tails are only
+  // fragmentation until the next outermost scope consolidates the chain.
   while (cur_block_ < blocks_.size() &&
          cur_off_ + bytes > blocks_[cur_block_].cap) {
     ++cur_block_;
@@ -64,10 +64,11 @@ void* ScratchArena::alloc(std::size_t bytes) {
   if (cur_block_ == blocks_.size()) grow(bytes);
   std::byte* p = blocks_[cur_block_].base + cur_off_;
   cur_off_ += bytes;
-  const std::size_t used = prefix_[cur_block_] + cur_off_;
-  if (used > high_water_) {
-    high_water_ = used;
-    raise_global_high_water(used);
+  live_ += bytes;
+  peak_ = std::max(peak_, live_);
+  if (live_ > high_water_) {
+    high_water_ = live_;
+    raise_global_high_water(live_);
   }
   return p;
 }
@@ -79,14 +80,32 @@ void ScratchArena::enter_scope() {
       trim_epoch_seen_ = e;
       trim(g_trim_keep.load(std::memory_order_acquire));
     }
+    if (blocks_.size() > 1) consolidate();
   }
   ++scope_depth_;
 }
 
-void ScratchArena::exit_scope(std::size_t block, std::size_t off) {
+void ScratchArena::exit_scope(std::size_t block, std::size_t off,
+                              std::size_t live) {
   cur_block_ = block;
   cur_off_ = off;
+  live_ = live;
   --scope_depth_;
+}
+
+// One block for the peak the chain served, rounded up to the first block's
+// size: a chain forms only when that peak outgrew the block before it, so
+// each consolidation is at least as large as the last one since a trim.
+void ScratchArena::consolidate() {
+  if (live_ != 0) return;  // an allocation made outside any scope is live
+  const std::size_t cap =
+      (peak_ + kFirstBlockBytes - 1) / kFirstBlockBytes * kFirstBlockBytes;
+  blocks_.clear();
+  prefix_.clear();
+  cur_block_ = 0;
+  cur_off_ = 0;
+  peak_ = 0;
+  grow(cap);
 }
 
 void ScratchArena::trim(std::size_t keep_bytes) {
@@ -103,6 +122,7 @@ void ScratchArena::trim(std::size_t keep_bytes) {
     cur_block_ = blocks_.size();
     cur_off_ = 0;
   }
+  peak_ = live_;
 }
 
 void ScratchArena::trim_all(std::size_t keep_bytes) {

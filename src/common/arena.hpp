@@ -12,8 +12,12 @@
 // Sizing: the host engine's per-task footprint is bounded by
 // α·(FH·IC + OC) floats (transformed-input ring + state accumulator), i.e.
 // O(α·max(IC, OC)); the first 64 KiB block covers every layer in the
-// training experiments, and growth is geometric for anything larger.
-// `max_high_water()` is exported to the metrics registry
+// training experiments, and growth is geometric for anything larger. A
+// request too large for the current block's remainder skips to a new block,
+// so a chain holds unused tails; when the next outermost Scope opens on a
+// chain (nothing is live then), the chain is replaced by one block that
+// fits the peak it served, and a repeat of the same requests runs in that
+// block. `max_high_water()` is exported to the metrics registry
 // (`host.arena.high_water_bytes`) so arena pressure is visible in reports.
 #pragma once
 
@@ -40,17 +44,19 @@ class ScratchArena {
   /// that opens its own).
   class Scope {
    public:
-    explicit Scope(ScratchArena& a)
-        : a_(a), block_(a.cur_block_), off_(a.cur_off_) {
+    explicit Scope(ScratchArena& a) : a_(a) {
       a.enter_scope();
+      block_ = a.cur_block_;
+      off_ = a.cur_off_;
+      live_ = a.live_;
     }
-    ~Scope() { a_.exit_scope(block_, off_); }
+    ~Scope() { a_.exit_scope(block_, off_, live_); }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     ScratchArena& a_;
-    std::size_t block_, off_;
+    std::size_t block_, off_, live_;
   };
 
   /// Bump allocation; offsets advance in 64-byte quanta. Earlier pointers
@@ -60,7 +66,9 @@ class ScratchArena {
     return static_cast<float*>(alloc(n * sizeof(float)));
   }
 
-  /// Peak bytes simultaneously live in this thread's arena.
+  /// Peak bytes simultaneously handed out by this thread's arena (64-byte
+  /// rounded requests; the unused tails of skipped blocks do not count).
+  /// Monotonic.
   std::size_t high_water() const { return high_water_; }
   /// Total bytes held by this arena's blocks (retained across scopes).
   std::size_t capacity() const;
@@ -94,8 +102,9 @@ class ScratchArena {
   };
 
   void enter_scope();
-  void exit_scope(std::size_t block, std::size_t off);
+  void exit_scope(std::size_t block, std::size_t off, std::size_t live);
   void grow(std::size_t min_bytes);
+  void consolidate();
 
   static constexpr std::size_t kAlign = 64;
   static constexpr std::size_t kFirstBlockBytes = std::size_t{1} << 16;
@@ -104,7 +113,9 @@ class ScratchArena {
   std::vector<std::size_t> prefix_;  ///< bytes in blocks before index i
   std::size_t cur_block_ = 0;
   std::size_t cur_off_ = 0;
-  std::size_t high_water_ = 0;
+  std::size_t live_ = 0;        ///< bytes handed out and not yet released
+  std::size_t peak_ = 0;        ///< peak live_ since the blocks last changed
+  std::size_t high_water_ = 0;  ///< peak live_ ever
   int scope_depth_ = 0;
   std::uint64_t trim_epoch_seen_ = 0;  ///< last trim_all epoch honored
 };

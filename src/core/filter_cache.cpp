@@ -22,14 +22,13 @@ trace::Counter& filter_transform_misses() {
   return c;
 }
 
-std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
-                                         const GammaConfig& cfg) {
+Buffer<float> transform_filter_host(const TensorF& w, const ConvShape& s,
+                                    const GammaConfig& cfg) {
   const int alpha = cfg.alpha;
   const int r = cfg.r;
   const WinogradPlan& plan = get_plan(cfg.n, r);
   const HostKernels& hk = host_kernels();
-  std::vector<float> ghat(static_cast<std::size_t>(s.fh) * alpha * s.ic *
-                          s.oc);
+  Buffer<float> ghat(static_cast<std::size_t>(s.fh) * alpha * s.ic * s.oc);
   // OC is ĝ's lane axis but w's outermost, so each (fh, IC block) task first
   // stages its [FW][ICB][OC] slice of the [FH][FW][IC][OC] transpose in its
   // own arena: per (oc, j) it reads ICB contiguous floats of w, and the
@@ -66,8 +65,8 @@ std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
   return ghat;
 }
 
-std::vector<float> deconv_transform_filter_host(const TensorF& w,
-                                                const GammaConfig& cfg) {
+Buffer<float> deconv_transform_filter_host(const TensorF& w,
+                                           const GammaConfig& cfg) {
   IWG_CHECK(w.rank() == 4 && w.dim(2) == cfg.r);
   const std::int64_t oc = w.dim(0);
   const std::int64_t fh = w.dim(1);
@@ -76,7 +75,7 @@ std::vector<float> deconv_transform_filter_host(const TensorF& w,
   const int r = cfg.r;
   const WinogradPlan& plan = get_plan(cfg.n, r);
   const HostKernels& hk = host_kernels();
-  std::vector<float> ghat(static_cast<std::size_t>(fh) * alpha * oc * ic);
+  Buffer<float> ghat(static_cast<std::size_t>(fh) * alpha * oc * ic);
   // The deconvolution's lane axis is the forward IC, w's innermost axis: the
   // r taps of filter row fh are w's rows [oc][FH−1−fh][FW−1−j][:] read in
   // place, and the α results land as whole rows OC·IC apart.
@@ -93,12 +92,12 @@ std::vector<float> deconv_transform_filter_host(const TensorF& w,
   return ghat;
 }
 
-std::vector<float> gemm_panel_host(const TensorF& w) {
+Buffer<float> gemm_panel_host(const TensorF& w) {
   IWG_CHECK(w.rank() == 4);
   const std::int64_t oc = w.dim(0);
   const std::int64_t taps = w.dim(1) * w.dim(2);
   const std::int64_t ic = w.dim(3);
-  std::vector<float> panel(static_cast<std::size_t>(w.size()));
+  Buffer<float> panel(static_cast<std::size_t>(w.size()));
   const float* src = w.data();
   for (std::int64_t o = 0; o < oc; ++o) {
     for (std::int64_t t = 0; t < taps; ++t) {
@@ -111,13 +110,13 @@ std::vector<float> gemm_panel_host(const TensorF& w) {
   return panel;
 }
 
-std::vector<float> deconv_gemm_panel_host(const TensorF& w) {
+Buffer<float> deconv_gemm_panel_host(const TensorF& w) {
   IWG_CHECK(w.rank() == 4);
   const std::int64_t oc = w.dim(0);
   const std::int64_t fh = w.dim(1);
   const std::int64_t fw = w.dim(2);
   const std::int64_t ic = w.dim(3);
-  std::vector<float> panel(static_cast<std::size_t>(w.size()));
+  Buffer<float> panel(static_cast<std::size_t>(w.size()));
   float* dst = panel.data();
   for (std::int64_t h = 0; h < fh; ++h) {
     for (std::int64_t x = 0; x < fw; ++x) {
@@ -145,7 +144,7 @@ FilterTransformCache::FilterTransformCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 FilterTransformCache::Ghat FilterTransformCache::get_or_compute(
-    const Key& key, const std::function<std::vector<float>()>& compute) {
+    const Key& key, const std::function<Buffer<float>()>& compute) {
   {
     std::lock_guard lock(mu_);
     auto it = map_.find(key);
@@ -157,7 +156,7 @@ FilterTransformCache::Ghat FilterTransformCache::get_or_compute(
   }
   filter_transform_misses().add();
   IWG_TRACE_SCOPE("filter_transform", "host");
-  Ghat ghat = std::make_shared<const std::vector<float>>(compute());
+  Ghat ghat = std::make_shared<const Buffer<float>>(compute());
   std::lock_guard lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {

@@ -52,16 +52,19 @@ class Counter;
 
 namespace iwg::core {
 
+// Each transform below writes every element of the buffer it returns, so
+// the buffers are allocated without a zero fill (tensor.hpp's Buffer).
+
 /// ĝ[fh][t][ic][oc] for one (filter, Γ geometry): OC contiguous for the
 /// host engine's inner axpy. `w` is the original OC,FH,FW,IC filter.
-std::vector<float> transform_filter_host(const TensorF& w, const ConvShape& s,
-                                         const GammaConfig& cfg);
+Buffer<float> transform_filter_host(const TensorF& w, const ConvShape& s,
+                                    const GammaConfig& cfg);
 
 /// ĝ of the backward-data problem, ĝ[fh][t][oc][ic] = Σ_j G[t][j] ·
 /// w[oc][FH−1−fh][FW−1−j][ic]: transform_filter_host of deconv_filter(w),
 /// bit for bit, read from the OC,FH,FW,IC filter `w` in place.
-std::vector<float> deconv_transform_filter_host(const TensorF& w,
-                                                const GammaConfig& cfg);
+Buffer<float> deconv_transform_filter_host(const TensorF& w,
+                                           const GammaConfig& cfg);
 
 /// Cache-key α of the implicit-GEMM weight panel: α = 1, the identity
 /// transform. Γ kernels use α ∈ {4, 8, 16}, so the keys never collide.
@@ -70,11 +73,11 @@ inline constexpr int kGemmPanelAlpha = 1;
 /// The implicit-GEMM weight panel [FH][FW][IC][OC] of the OC,FH,FW,IC
 /// filter `w`: one [IC][OC] plane per filter tap, OC contiguous — the
 /// g[k·nj + j] operand of axpy_rank1_multi.
-std::vector<float> gemm_panel_host(const TensorF& w);
+Buffer<float> gemm_panel_host(const TensorF& w);
 
 /// gemm_panel_host of deconv_filter(w), copied from `w` as whole IC rows:
 /// panel[fh][fw][oc][ic] = w[oc][FH−1−fh][FW−1−fw][ic].
-std::vector<float> deconv_gemm_panel_host(const TensorF& w);
+Buffer<float> deconv_gemm_panel_host(const TensorF& w);
 
 /// The metrics-registry counters the host filter-transform paths feed
 /// (stable references, cheap to cache at call sites).
@@ -92,7 +95,7 @@ class FilterTransformCache {
     friend bool operator==(const Key&, const Key&) = default;
   };
 
-  using Ghat = std::shared_ptr<const std::vector<float>>;
+  using Ghat = std::shared_ptr<const Buffer<float>>;
 
   explicit FilterTransformCache(std::size_t capacity = 128);
 
@@ -101,7 +104,7 @@ class FilterTransformCache {
   /// drops the stale versions of the same (weights, α, r, deconv) — they are
   /// unreachable once the version has moved on.
   Ghat get_or_compute(const Key& key,
-                      const std::function<std::vector<float>()>& compute);
+                      const std::function<Buffer<float>()>& compute);
 
   /// Drop every entry for a weight tensor (layer teardown: a later
   /// allocation could reuse the address and collide on version numbering).

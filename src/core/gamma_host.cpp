@@ -208,7 +208,7 @@ const float* TransformMemo::get(int alpha, int r, const Compute& compute) {
     t = fc_.cache->get_or_compute(key, compute);
   } else {
     filter_transform_misses().add();
-    t = std::make_shared<const std::vector<float>>(compute());
+    t = std::make_shared<const Buffer<float>>(compute());
   }
   memo_.emplace_back(geom, std::move(t));
   return memo_.back().second->data();
@@ -283,7 +283,7 @@ void conv2d_gamma_host_segment(const TensorF& x, const TensorF& w,
                                const ConvShape& s, const GammaConfig& cfg,
                                std::int64_t ow_start, std::int64_t ow_len,
                                TensorF& y) {
-  const std::vector<float> ghat = transform_filter_host(w, s, cfg);
+  const Buffer<float> ghat = transform_filter_host(w, s, cfg);
   conv2d_gamma_host_segment_pretransformed(x, ghat.data(), s, cfg, ow_start,
                                            ow_len, y);
 }
@@ -306,7 +306,11 @@ TensorF run_plan(const TensorF& x, const ConvShape& s,
   static trace::Counter& gemm_segs =
       trace::MetricsRegistry::global().counter("conv.segments_gemm");
   const std::int64_t ow = strided_extent(s.ow(), stride);
-  TensorF y({s.n, strided_extent(s.oh(), stride), ow, s.oc});
+  // No zero fill: the segments must cover OW (checked below), a Γ segment's
+  // output transform writes every row of its columns, and gemm_row zeroes
+  // its own rows before it accumulates.
+  TensorF y = TensorF::uninitialized({s.n, strided_extent(s.oh(), stride),
+                                      ow, s.oc});
 
   std::int64_t covered = 0;
   for (const Segment& seg : plan) {
@@ -517,7 +521,8 @@ TensorF conv2d_filter_grad_winograd(const TensorF& x, const TensorF& dy,
   const std::int64_t pass_rows =
       std::min(acc_rows, pass_blocks * kGradRowBlock);
 
-  TensorF dw({s.oc, s.fh, s.fw, s.ic});
+  // The output transform below writes every (oc, fh, j, ic): no zero fill.
+  TensorF dw = TensorF::uninitialized({s.oc, s.fh, s.fw, s.ic});
   ScratchArena& arena = ScratchArena::local();
   const ScratchArena::Scope scope(arena);
   GradPanel xp;  // D̂: the α-wide X windows, B^T-transformed

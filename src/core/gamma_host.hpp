@@ -130,7 +130,7 @@ class TransformMemo {
   const TensorF& w_;
   FilterCacheRef fc_;
   std::vector<std::pair<std::pair<int, int>,
-                        std::shared_ptr<const std::vector<float>>>>
+                        std::shared_ptr<const Buffer<float>>>>
       memo_;
 };
 

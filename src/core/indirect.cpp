@@ -102,6 +102,15 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
   for (const ConvShape& s : table.classes) {
     plans.push_back(stride == 1 ? plan_for(s, copts)
                                 : gemm_plan(strided_extent(s.ow(), stride)));
+    // Callers may hand in outputs that are not zero-filled (Conv2D's
+    // ragged path), so every column must be written, as run_plan checks.
+    std::int64_t covered = 0;
+    for (const Segment& seg : plans.back()) {
+      IWG_CHECK_MSG(seg.ow_start == covered, "boundary plan has gaps");
+      covered += seg.ow_len;
+    }
+    IWG_CHECK_MSG(covered == strided_extent(s.ow(), stride),
+                  "boundary plan does not cover OW");
   }
 
   detail::TransformMemo transforms(w, opts.fc);

@@ -64,6 +64,13 @@ struct AutotuneContext {
   int resolved = 0;                         ///< conv layers resolved (output)
 };
 
+/// forward() and backward() take their tensor by value: the layer owns it
+/// and may overwrite it in place and return it (LeakyReLU, BatchNorm's
+/// training passes, Flatten's reshape) or keep it as its backward cache
+/// (Conv2D, Linear). Model and ResidualBlock pass each activation and
+/// gradient on with std::move, so a training step copies a tensor only
+/// where two consumers need it (a residual fork); an lvalue caller's
+/// argument is copied at the call and left untouched.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -71,7 +78,7 @@ class Layer {
   virtual std::string name() const = 0;
   /// Forward pass; `train` enables caching for backward and batch-norm
   /// statistics updates.
-  virtual TensorF forward(const TensorF& x, bool train) = 0;
+  virtual TensorF forward(TensorF x, bool train) = 0;
   /// Inference-only forward: semantically identical to
   /// `forward(x, /*train=*/false)` but `const` and free of hidden mutable
   /// state (no activation caches, no running-statistics updates, no
@@ -94,7 +101,7 @@ class Layer {
     return ys;
   }
   /// Backward pass: consumes dL/dy, returns dL/dx, accumulates param grads.
-  virtual TensorF backward(const TensorF& dy) = 0;
+  virtual TensorF backward(TensorF dy) = 0;
 
   virtual std::vector<Param*> params() { return {}; }
 

@@ -122,6 +122,65 @@ void for_row_chunks(std::int64_t rows, std::int64_t cols, const Body& body) {
   });
 }
 
+/// a[i] += b[i] over equal-sized tensors, in row chunks across the pool.
+void add_into(TensorF& a, const TensorF& b) {
+  IWG_CHECK(a.size() == b.size());
+  float* ad = a.data();
+  const float* bd = b.data();
+  for_row_chunks(a.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
+    float* __restrict as = ad;
+    const float* __restrict bs = bd;
+    for (std::int64_t i = i0; i < i1; ++i) as[i] += bs[i];
+  });
+}
+
+/// Rows per block of the training passes' column sums (BatchNorm2D's
+/// statistics and gradients, Conv2D's bias gradient). A constant: the
+/// partition, and with it every FP64 partial and the order the partials
+/// combine in, depends on the tensor's shape alone, not on the pool size.
+constexpr std::int64_t kRowBlock = 256;
+
+std::int64_t row_blocks(std::int64_t rows) {
+  return (rows + kRowBlock - 1) / kRowBlock;
+}
+
+/// body(first_row, end_row) per fixed row block, across the pool.
+template <class Body>
+void for_row_blocks(std::int64_t rows, const Body& body) {
+  parallel_for(row_blocks(rows), [&](std::int64_t b) {
+    body(b * kRowBlock, std::min(rows, (b + 1) * kRowBlock));
+  });
+}
+
+/// Per-column FP64 sums of `width` columns: add(row, acc) adds one row's
+/// terms into acc[0, width). Each fixed row block sums into its own
+/// partial; the partials are then added in block order.
+template <class Add>
+std::vector<double> column_sums(std::int64_t rows, std::int64_t width,
+                                const Add& add) {
+  const std::int64_t blocks = row_blocks(rows);
+  std::vector<double> part(static_cast<std::size_t>(blocks * width));
+  parallel_for(blocks, [&](std::int64_t b) {
+    // A task-local accumulator: adjacent blocks' partials share cache lines.
+    ScratchArena& arena = ScratchArena::local();
+    const ScratchArena::Scope scope(arena);
+    auto* acc = static_cast<double*>(
+        arena.alloc(static_cast<std::size_t>(width) * sizeof(double)));
+    std::fill(acc, acc + width, 0.0);
+    const std::int64_t end = std::min(rows, (b + 1) * kRowBlock);
+    for (std::int64_t i = b * kRowBlock; i < end; ++i) add(i, acc);
+    std::copy(acc, acc + width, part.begin() + b * width);
+  });
+  std::vector<double> sum(static_cast<std::size_t>(width), 0.0);
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    for (std::int64_t c = 0; c < width; ++c) {
+      sum[static_cast<std::size_t>(c)] +=
+          part[static_cast<std::size_t>(b * width + c)];
+    }
+  }
+  return sum;
+}
+
 /// Operands of one epilogue pass over a row-major [rows × C] tensor.
 struct EpilogueArgs {
   const float* bias = nullptr;   // [C]
@@ -259,15 +318,11 @@ TensorF Conv2D::convolve(const TensorF& x, const ConvShape& s) const {
   return core::conv2d(x, w_.value, s, opts);
 }
 
-TensorF Conv2D::forward(const TensorF& x, bool train) {
+TensorF Conv2D::forward(TensorF x, bool train) {
   shape_ = shape_for(x);
   TensorF y = convolve(x, shape_);
   run_epilogue(y, b_.value.data(), {});
-  if (train) {
-    x_cache_ = x;
-  } else {
-    x_cache_ = TensorF();
-  }
+  x_cache_ = train ? std::move(x) : TensorF();
   return y;
 }
 
@@ -292,8 +347,10 @@ std::vector<TensorF> Conv2D::infer_ragged(const std::vector<TensorF>& xs,
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const ConvShape si = shape_for(xs[i]);
     IWG_CHECK_MSG(si.n == 1, "infer_ragged expects one image per tensor");
-    ys[i].reset({1, core::strided_extent(si.oh(), stride_),
-                 core::strided_extent(si.ow(), stride_), oc});
+    // The dispatch writes every output element (its plans cover OW).
+    ys[i] = TensorF::uninitialized({1, core::strided_extent(si.oh(), stride_),
+                                    core::strided_extent(si.ow(), stride_),
+                                    oc});
     views[i] = core::ImageView{xs[i].data(), ys[i].data(), si.ih, si.iw};
   }
   core::IndirectOptions opts;
@@ -335,14 +392,18 @@ Dims4 Conv2D::pretune(const Dims4& in, AutotuneContext& ctx) {
   return out;
 }
 
-TensorF Conv2D::backward(const TensorF& dy) {
+TensorF Conv2D::backward(TensorF dy) {
   IWG_CHECK(!x_cache_.empty());
-  // db
+  // db: FP64 column sums over the fixed row blocks (DESIGN §8).
   const std::int64_t oc = dy.dim(3);
-  const std::int64_t pixels = dy.size() / oc;
-  for (std::int64_t m = 0; m < pixels; ++m) {
-    const float* row = dy.data() + m * oc;
-    for (std::int64_t c = 0; c < oc; ++c) b_.grad[c] += row[c];
+  const float* g = dy.data();
+  const std::vector<double> db =
+      column_sums(dy.size() / oc, oc, [&](std::int64_t i, double* acc) {
+        const float* row = g + i * oc;
+        for (std::int64_t c = 0; c < oc; ++c) acc[c] += row[c];
+      });
+  for (std::int64_t c = 0; c < oc; ++c) {
+    b_.grad[c] += static_cast<float>(db[static_cast<std::size_t>(c)]);
   }
   // dw and dx
   if (stride_ == 1) {
@@ -350,10 +411,9 @@ TensorF Conv2D::backward(const TensorF& dy) {
     // (library extension — see conv2d_filter_grad_winograd).
     const bool wino_dw =
         engine_ == ConvEngine::kWinograd && fsize_ >= 2 && fsize_ <= 9;
-    const TensorF dw =
-        wino_dw ? core::conv2d_filter_grad_winograd(x_cache_, dy, shape_)
-                : ref::conv2d_filter_grad_gemm(x_cache_, dy, shape_);
-    for (std::int64_t i = 0; i < dw.size(); ++i) w_.grad[i] += dw[i];
+    add_into(w_.grad,
+             wino_dw ? core::conv2d_filter_grad_winograd(x_cache_, dy, shape_)
+                     : ref::conv2d_filter_grad_gemm(x_cache_, dy, shape_));
     if (engine_ == ConvEngine::kWinograd) {
       core::ConvOptions opts = options_for(engine_);
       opts.filter_cache = &core::FilterTransformCache::global();
@@ -362,8 +422,7 @@ TensorF Conv2D::backward(const TensorF& dy) {
     }
     return ref::deconv2d_implicit_gemm(dy, w_.value, shape_);
   }
-  const TensorF dw = filter_grad_strided(x_cache_, dy, shape_, stride_);
-  for (std::int64_t i = 0; i < dw.size(); ++i) w_.grad[i] += dw[i];
+  add_into(w_.grad, filter_grad_strided(x_cache_, dy, shape_, stride_));
   return deconv_strided(dy, w_.value, shape_, stride_);
 }
 
@@ -385,76 +444,33 @@ BatchNorm2D::BatchNorm2D(std::int64_t channels, float momentum, float eps)
   inv_std_.resize(static_cast<std::size_t>(channels));
 }
 
-namespace {
-
-/// Rows per block of BatchNorm2D's training passes. A constant: the
-/// partition, and with it every FP64 partial and the order the partials
-/// combine in, depends on the tensor's shape alone, not on the pool size.
-constexpr std::int64_t kBnRowBlock = 256;
-
-std::int64_t bn_blocks(std::int64_t rows) {
-  return (rows + kBnRowBlock - 1) / kBnRowBlock;
-}
-
-/// body(first_row, end_row) per fixed row block, across the pool.
-template <class Body>
-void for_bn_blocks(std::int64_t rows, const Body& body) {
-  parallel_for(bn_blocks(rows), [&](std::int64_t b) {
-    body(b * kBnRowBlock, std::min(rows, (b + 1) * kBnRowBlock));
-  });
-}
-
-/// Per-column FP64 sums of `width` columns: add(row, acc) adds one row's
-/// terms into acc[0, width). Each fixed row block sums into its own
-/// partial; the partials are then added in block order.
-template <class Add>
-std::vector<double> bn_column_sums(std::int64_t rows, std::int64_t width,
-                                   const Add& add) {
-  const std::int64_t blocks = bn_blocks(rows);
-  std::vector<double> part(static_cast<std::size_t>(blocks * width));
-  parallel_for(blocks, [&](std::int64_t b) {
-    // A task-local accumulator: adjacent blocks' partials share cache lines.
-    ScratchArena& arena = ScratchArena::local();
-    const ScratchArena::Scope scope(arena);
-    auto* acc = static_cast<double*>(
-        arena.alloc(static_cast<std::size_t>(width) * sizeof(double)));
-    std::fill(acc, acc + width, 0.0);
-    const std::int64_t end = std::min(rows, (b + 1) * kBnRowBlock);
-    for (std::int64_t i = b * kBnRowBlock; i < end; ++i) add(i, acc);
-    std::copy(acc, acc + width, part.begin() + b * width);
-  });
-  std::vector<double> sum(static_cast<std::size_t>(width), 0.0);
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    for (std::int64_t c = 0; c < width; ++c) {
-      sum[static_cast<std::size_t>(c)] +=
-          part[static_cast<std::size_t>(b * width + c)];
-    }
-  }
-  return sum;
-}
-
-}  // namespace
-
 // Training runs row-major passes over fixed row blocks split across the
 // pool (DESIGN §8): per-channel FP64 sums, then FP64 squared deviations
-// from the mean, then one normalize pass that writes x̂ and y.
-TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
-  if (!train) return infer(x);
+// from the mean, then one normalize pass that writes x̂ and, over x in
+// place, y.
+TensorF BatchNorm2D::forward(TensorF x, bool train) {
   IWG_CHECK(x.rank() == 4 && x.dim(3) == channels_);
+  if (!train) {
+    run_epilogue(x, nullptr, {.bn = this});
+    return x;
+  }
   const std::int64_t c = channels_;
   const std::int64_t m = x.size() / c;
-  TensorF y(std::vector<std::int64_t>{x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
-  xhat_.reset({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+  // The normalize pass writes every x̂ element: no zero fill, and the
+  // previous step's buffer is reused when the shape repeats.
+  if (!xhat_.same_shape(x)) {
+    xhat_ = TensorF::uninitialized({x.dim(0), x.dim(1), x.dim(2), x.dim(3)});
+  }
   count_ = m;
-  const float* xd = x.data();
+  float* xd = x.data();
   std::vector<double> mean =
-      bn_column_sums(m, c, [&](std::int64_t i, double* acc) {
+      column_sums(m, c, [&](std::int64_t i, double* acc) {
         const float* row = xd + i * c;
         for (std::int64_t k = 0; k < c; ++k) acc[k] += row[k];
       });
   for (double& v : mean) v /= static_cast<double>(m);
   std::vector<double> var =
-      bn_column_sums(m, c, [&](std::int64_t i, double* acc) {
+      column_sums(m, c, [&](std::int64_t i, double* acc) {
         const float* row = xd + i * c;
         for (std::int64_t k = 0; k < c; ++k) {
           const double d = row[k] - mean[static_cast<std::size_t>(k)];
@@ -477,17 +493,16 @@ TensorF BatchNorm2D::forward(const TensorF& x, bool train) {
   const float* gamma = gamma_.value.data();
   const float* beta = beta_.value.data();
   float* xh = xhat_.data();
-  float* yd = y.data();
-  for_bn_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
+  for_row_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0 * c; i < r1 * c; i += c) {
       for (std::int64_t k = 0; k < c; ++k) {
         const float v = (xd[i + k] - mu[k]) * inv[k];
         xh[i + k] = v;
-        yd[i + k] = gamma[k] * v + beta[k];
+        xd[i + k] = gamma[k] * v + beta[k];
       }
     }
   });
-  return y;
+  return x;
 }
 
 TensorF BatchNorm2D::infer(const TensorF& x) const {
@@ -510,17 +525,15 @@ BatchNorm2D::Affine BatchNorm2D::inference_affine() const {
   return a;
 }
 
-TensorF BatchNorm2D::backward(const TensorF& dy) {
-  IWG_CHECK(!xhat_.empty());
+TensorF BatchNorm2D::backward(TensorF dy) {
+  IWG_CHECK(!xhat_.empty() && dy.same_shape(xhat_));
   const std::int64_t c = channels_;
   const std::int64_t m = count_;
-  TensorF dx(std::vector<std::int64_t>{dy.dim(0), dy.dim(1), dy.dim(2),
-                                       dy.dim(3)});
-  const float* g = dy.data();
+  float* g = dy.data();
   const float* xh = xhat_.data();
   // Columns [0, C) sum dy, columns [C, 2C) sum dy·x̂.
   const std::vector<double> sums =
-      bn_column_sums(m, 2 * c, [&](std::int64_t i, double* acc) {
+      column_sums(m, 2 * c, [&](std::int64_t i, double* acc) {
         const float* gr = g + i * c;
         const float* xr = xh + i * c;
         for (std::int64_t k = 0; k < c; ++k) {
@@ -541,17 +554,17 @@ TensorF BatchNorm2D::backward(const TensorF& dy) {
     k1[kk] = static_cast<float>(sum_dy / static_cast<double>(m));
     k2[kk] = static_cast<float>(sum_dy_xhat / static_cast<double>(m));
   }
-  float* dd = dx.data();
-  for_bn_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
+  // dx over dy in place.
+  for_row_blocks(m, [&](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0 * c; i < r1 * c; i += c) {
       for (std::int64_t k = 0; k < c; ++k) {
-        dd[i + k] = scale[static_cast<std::size_t>(k)] *
-                    (g[i + k] - k1[static_cast<std::size_t>(k)] -
-                     xh[i + k] * k2[static_cast<std::size_t>(k)]);
+        g[i + k] = scale[static_cast<std::size_t>(k)] *
+                   (g[i + k] - k1[static_cast<std::size_t>(k)] -
+                    xh[i + k] * k2[static_cast<std::size_t>(k)]);
       }
     }
   });
-  return dx;
+  return dy;
 }
 
 // ---------------------------------------------------------------------------
@@ -563,24 +576,26 @@ LeakyReLU::LeakyReLU(float slope) : slope_(slope) {
                 "LeakyReLU slope must lie in (0, 1]");
 }
 
-TensorF LeakyReLU::forward(const TensorF& x, bool train) {
-  if (!train) return infer(x);
-  TensorF y = x;
+// Training forward and backward work in place on the tensor they own.
+TensorF LeakyReLU::forward(TensorF x, bool train) {
+  if (!train) {
+    run_epilogue(x, nullptr, {.act = this});
+    return x;
+  }
   mask_.resize(static_cast<std::size_t>(x.size()));
-  const float* xd = x.data();
-  float* yd = y.data();
+  float* xd = x.data();
   std::uint8_t* md = mask_.data();
   const float slope = slope_;
   for_row_chunks(x.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
-    const float* __restrict xs = xd;
-    float* __restrict ys = yd;
+    float* __restrict xs = xd;
     std::uint8_t* __restrict ms = md;
     for (std::int64_t i = i0; i < i1; ++i) {
-      ys[i] = leaky(xs[i], slope);
-      ms[i] = !(xs[i] < 0.0f);
+      const float v = xs[i];
+      ms[i] = !(v < 0.0f);
+      xs[i] = leaky(v, slope);
     }
   });
-  return y;
+  return x;
 }
 
 TensorF LeakyReLU::infer(const TensorF& x) const {
@@ -589,13 +604,12 @@ TensorF LeakyReLU::infer(const TensorF& x) const {
   return y;
 }
 
-TensorF LeakyReLU::backward(const TensorF& dy) {
+TensorF LeakyReLU::backward(TensorF dy) {
   IWG_CHECK(static_cast<std::int64_t>(mask_.size()) == dy.size());
-  TensorF dx = dy;
-  float* dd = dx.data();
+  float* dd = dy.data();
   const std::uint8_t* md = mask_.data();
   const float slope = slope_;
-  for_row_chunks(dx.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
+  for_row_chunks(dy.size(), 1, [=](std::int64_t i0, std::int64_t i1) {
     float* __restrict d = dd;
     const std::uint8_t* __restrict ms = md;
     for (std::int64_t i = i0; i < i1; ++i) {
@@ -606,94 +620,133 @@ TensorF LeakyReLU::backward(const TensorF& dy) {
       d[i] = std::bit_cast<float>((g & keep) | (scaled & ~keep));
     }
   });
-  return dx;
+  return dy;
 }
 
 // ---------------------------------------------------------------------------
 // MaxPool2x2
 
-TensorF MaxPool2x2::forward(const TensorF& x, bool train) {
+namespace {
+
+/// Output rows [r0, r1) of a 2×2 stride-2 max pool over NHWC `x`, a row
+/// being one (image, output row): output row r reads input rows 2r and
+/// 2r + 1 of the N·IH rows. Per element the window is read in (0,0), (0,1),
+/// (1,0), (1,1) order and a candidate replaces the best only if it is `>`:
+/// the first maximum wins a tie and a NaN never replaces the current best.
+/// With kArgmax the winner's index 0–3 goes to `arg`; it is tracked as a
+/// float so every select has one type and compiles branch-free (uint8
+/// selects on float compares become branches, which random data
+/// mispredicts about once per window).
+template <bool kArgmax>
+void maxpool_rows(const float* x, float* y, std::uint8_t* arg, std::int64_t ow,
+                  std::int64_t c, std::int64_t r0, std::int64_t r1) {
+  const std::int64_t in_row = 2 * ow * c;
+  const std::int64_t out_row = ow * c;
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const float* top = x + 2 * r * in_row;
+    const float* bot = top + in_row;
+    for (std::int64_t w = 0; w < ow; ++w) {
+      const float* t = top + 2 * w * c;
+      const float* b = bot + 2 * w * c;
+      float* yo = y + r * out_row + w * c;
+      std::uint8_t* ao = kArgmax ? arg + r * out_row + w * c : nullptr;
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        const float cand[3] = {t[c + ch], b[ch], b[c + ch]};
+        float best = t[ch];
+        float idx = 0.0f;
+        for (int k = 0; k < 3; ++k) {
+          const bool take = cand[k] > best;
+          best = take ? cand[k] : best;
+          idx = take ? static_cast<float>(k + 1) : idx;
+        }
+        yo[ch] = best;
+        if constexpr (kArgmax) ao[ch] = static_cast<std::uint8_t>(idx);
+      }
+    }
+  }
+}
+
+/// dx for the windows of output rows [r0, r1): all four elements of each
+/// window are written, the winner 0.0f + dy (bitwise the += into a zeroed
+/// dx it replaces) and the others +0, so dx needs no zero fill.
+void maxpool_backward_rows(const float* dy, const std::uint8_t* arg, float* dx,
+                           std::int64_t ow, std::int64_t c, std::int64_t r0,
+                           std::int64_t r1) {
+  const std::int64_t in_row = 2 * ow * c;
+  const std::int64_t out_row = ow * c;
+  for (std::int64_t r = r0; r < r1; ++r) {
+    for (std::int64_t w = 0; w < ow; ++w) {
+      const float* g = dy + r * out_row + w * c;
+      const std::uint8_t* a = arg + r * out_row + w * c;
+      float* t = dx + 2 * r * in_row + 2 * w * c;
+      float* b = t + in_row;
+      for (std::int64_t ch = 0; ch < c; ++ch) {
+        const float v = 0.0f + g[ch];
+        const std::uint8_t k = a[ch];
+        t[ch] = k == 0 ? v : 0.0f;
+        t[c + ch] = k == 1 ? v : 0.0f;
+        b[ch] = k == 2 ? v : 0.0f;
+        b[c + ch] = k == 3 ? v : 0.0f;
+      }
+    }
+  }
+}
+
+/// The pool of `x`, split over (image, output row) by the for_row_chunks
+/// rule; writes each winner's index to `arg` unless it is null.
+TensorF maxpool(const TensorF& x, std::uint8_t* arg) {
   IWG_CHECK(x.rank() == 4 && x.dim(1) % 2 == 0 && x.dim(2) % 2 == 0);
+  const std::int64_t oh = x.dim(1) / 2;
+  const std::int64_t ow = x.dim(2) / 2;
+  const std::int64_t c = x.dim(3);
+  TensorF y = TensorF::uninitialized({x.dim(0), oh, ow, c});
+  const float* xd = x.data();
+  float* yd = y.data();
+  for_row_chunks(x.dim(0) * oh, ow * c, [&](std::int64_t r0, std::int64_t r1) {
+    if (arg != nullptr) {
+      maxpool_rows<true>(xd, yd, arg, ow, c, r0, r1);
+    } else {
+      maxpool_rows<false>(xd, yd, nullptr, ow, c, r0, r1);
+    }
+  });
+  return y;
+}
+
+}  // namespace
+
+TensorF MaxPool2x2::forward(TensorF x, bool train) {
+  IWG_CHECK(x.rank() == 4);
   n_ = x.dim(0);
   ih_ = x.dim(1);
   iw_ = x.dim(2);
   c_ = x.dim(3);
-  const std::int64_t oh = ih_ / 2;
-  const std::int64_t ow = iw_ / 2;
-  TensorF y({n_, oh, ow, c_});
-  if (train) argmax_.assign(static_cast<std::size_t>(y.size()), 0);
-  for (std::int64_t ni = 0; ni < n_; ++ni) {
-    for (std::int64_t h = 0; h < oh; ++h) {
-      for (std::int64_t w = 0; w < ow; ++w) {
-        for (std::int64_t c = 0; c < c_; ++c) {
-          float best = x.at(ni, 2 * h, 2 * w, c);
-          std::uint8_t idx = 0;
-          const float cands[3] = {x.at(ni, 2 * h, 2 * w + 1, c),
-                                  x.at(ni, 2 * h + 1, 2 * w, c),
-                                  x.at(ni, 2 * h + 1, 2 * w + 1, c)};
-          for (int k = 0; k < 3; ++k) {
-            if (cands[k] > best) {
-              best = cands[k];
-              idx = static_cast<std::uint8_t>(k + 1);
-            }
-          }
-          y.at(ni, h, w, c) = best;
-          if (train)
-            argmax_[static_cast<std::size_t>(y.offset(ni, h, w, c))] = idx;
-        }
-      }
-    }
-  }
-  return y;
+  if (!train) return maxpool(x, nullptr);
+  argmax_.resize(static_cast<std::size_t>(x.size() / 4));
+  return maxpool(x, argmax_.data());
 }
 
-TensorF MaxPool2x2::infer(const TensorF& x) const {
-  IWG_CHECK(x.rank() == 4 && x.dim(1) % 2 == 0 && x.dim(2) % 2 == 0);
-  const std::int64_t n = x.dim(0);
-  const std::int64_t oh = x.dim(1) / 2;
-  const std::int64_t ow = x.dim(2) / 2;
-  const std::int64_t c = x.dim(3);
-  TensorF y({n, oh, ow, c});
-  for (std::int64_t ni = 0; ni < n; ++ni) {
-    for (std::int64_t h = 0; h < oh; ++h) {
-      for (std::int64_t w = 0; w < ow; ++w) {
-        for (std::int64_t ch = 0; ch < c; ++ch) {
-          float best = x.at(ni, 2 * h, 2 * w, ch);
-          best = std::max(best, x.at(ni, 2 * h, 2 * w + 1, ch));
-          best = std::max(best, x.at(ni, 2 * h + 1, 2 * w, ch));
-          best = std::max(best, x.at(ni, 2 * h + 1, 2 * w + 1, ch));
-          y.at(ni, h, w, ch) = best;
-        }
-      }
-    }
-  }
-  return y;
-}
+TensorF MaxPool2x2::infer(const TensorF& x) const { return maxpool(x, nullptr); }
 
-TensorF MaxPool2x2::backward(const TensorF& dy) {
-  TensorF dx({n_, ih_, iw_, c_});
+TensorF MaxPool2x2::backward(TensorF dy) {
   const std::int64_t oh = ih_ / 2;
   const std::int64_t ow = iw_ / 2;
-  for (std::int64_t ni = 0; ni < n_; ++ni) {
-    for (std::int64_t h = 0; h < oh; ++h) {
-      for (std::int64_t w = 0; w < ow; ++w) {
-        for (std::int64_t c = 0; c < c_; ++c) {
-          const std::uint8_t idx =
-              argmax_[static_cast<std::size_t>(dy.offset(ni, h, w, c))];
-          const std::int64_t hh = 2 * h + (idx >= 2 ? 1 : 0);
-          const std::int64_t ww = 2 * w + (idx % 2);
-          dx.at(ni, hh, ww, c) += dy.at(ni, h, w, c);
-        }
-      }
-    }
-  }
+  IWG_CHECK(dy.rank() == 4 && dy.dim(0) == n_ && dy.dim(1) == oh &&
+            dy.dim(2) == ow && dy.dim(3) == c_ &&
+            static_cast<std::int64_t>(argmax_.size()) == dy.size());
+  TensorF dx = TensorF::uninitialized({n_, ih_, iw_, c_});
+  const float* g = dy.data();
+  const std::uint8_t* arg = argmax_.data();
+  float* d = dx.data();
+  for_row_chunks(n_ * oh, ow * c_, [&](std::int64_t r0, std::int64_t r1) {
+    maxpool_backward_rows(g, arg, d, ow, c_, r0, r1);
+  });
   return dx;
 }
 
 // ---------------------------------------------------------------------------
 // GlobalAvgPool
 
-TensorF GlobalAvgPool::forward(const TensorF& x, bool /*train*/) {
+TensorF GlobalAvgPool::forward(TensorF x, bool /*train*/) {
   IWG_CHECK(x.rank() == 4);
   n_ = x.dim(0);
   h_ = x.dim(1);
@@ -733,7 +786,7 @@ TensorF GlobalAvgPool::infer(const TensorF& x) const {
   return y;
 }
 
-TensorF GlobalAvgPool::backward(const TensorF& dy) {
+TensorF GlobalAvgPool::backward(TensorF dy) {
   TensorF dx({n_, h_, w_, c_});
   const float inv = 1.0f / static_cast<float>(h_ * w_);
   for (std::int64_t ni = 0; ni < n_; ++ni) {
@@ -751,28 +804,26 @@ TensorF GlobalAvgPool::backward(const TensorF& dy) {
 // ---------------------------------------------------------------------------
 // Flatten
 
-TensorF Flatten::forward(const TensorF& x, bool /*train*/) {
+TensorF Flatten::forward(TensorF x, bool /*train*/) {
   IWG_CHECK(x.rank() == 4);
   n_ = x.dim(0);
   h_ = x.dim(1);
   w_ = x.dim(2);
   c_ = x.dim(3);
-  TensorF y({n_, h_ * w_ * c_});
-  for (std::int64_t i = 0; i < x.size(); ++i) y[i] = x[i];
-  return y;
+  x.reshape({n_, h_ * w_ * c_});
+  return x;
 }
 
 TensorF Flatten::infer(const TensorF& x) const {
   IWG_CHECK(x.rank() == 4);
-  TensorF y({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
-  for (std::int64_t i = 0; i < x.size(); ++i) y[i] = x[i];
+  TensorF y = x;
+  y.reshape({x.dim(0), x.dim(1) * x.dim(2) * x.dim(3)});
   return y;
 }
 
-TensorF Flatten::backward(const TensorF& dy) {
-  TensorF dx({n_, h_, w_, c_});
-  for (std::int64_t i = 0; i < dy.size(); ++i) dx[i] = dy[i];
-  return dx;
+TensorF Flatten::backward(TensorF dy) {
+  dy.reshape({n_, h_, w_, c_});
+  return dy;
 }
 
 // ---------------------------------------------------------------------------
@@ -790,13 +841,9 @@ Linear::Linear(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,
   b_.grad.reset({out_dim});
 }
 
-TensorF Linear::forward(const TensorF& x, bool train) {
+TensorF Linear::forward(TensorF x, bool train) {
   TensorF y = infer(x);
-  if (train) {
-    x_cache_ = x;
-  } else {
-    x_cache_ = TensorF();
-  }
+  x_cache_ = train ? std::move(x) : TensorF();
   return y;
 }
 
@@ -805,7 +852,7 @@ TensorF Linear::infer(const TensorF& x) const {
   const std::int64_t n = x.dim(0);
   const std::int64_t d = x.dim(1);
   const std::int64_t m = w_.value.dim(1);
-  TensorF y({n, m});
+  TensorF y = TensorF::uninitialized({n, m});
   for (std::int64_t i = 0; i < n; ++i) {
     std::copy_n(b_.value.data(), m, y.data() + i * m);
   }
@@ -827,33 +874,56 @@ TensorF Linear::infer(const TensorF& x) const {
   return y;
 }
 
-TensorF Linear::backward(const TensorF& dy) {
+// Backward runs on the forward's kernel, across the pool in chunks of
+// features (W's rows), 8 rows per axpy_rank1_multi call: dW's rows take
+// Σ_i xᵀ[k][i]·dy[i][:] (the chunk's columns of x staged transposed in its
+// arena), and dX is computed transposed, dXᵀ[k][:] = Σ_j W[k][j]·dyᵀ[j][:],
+// W's rows read in place, then written back as dx's columns.
+TensorF Linear::backward(TensorF dy) {
   IWG_CHECK(!x_cache_.empty());
   const std::int64_t n = dy.dim(0);
   const std::int64_t d = w_.value.dim(0);
   const std::int64_t m = w_.value.dim(1);
-  // db, dw
+  IWG_CHECK(dy.rank() == 2 && dy.dim(1) == m && x_cache_.dim(0) == n);
+  const float* g = dy.data();
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* gr = dy.data() + i * m;
-    for (std::int64_t j = 0; j < m; ++j) b_.grad[j] += gr[j];
-    const float* xr = x_cache_.data() + i * d;
-    for (std::int64_t k = 0; k < d; ++k) {
-      const float xv = xr[k];
-      if (xv == 0.0f) continue;
-      float* wg = w_.grad.data() + k * m;
-      for (std::int64_t j = 0; j < m; ++j) wg[j] += xv * gr[j];
-    }
+    for (std::int64_t j = 0; j < m; ++j) b_.grad[j] += g[i * m + j];
   }
-  // dx = dy · W^T
-  TensorF dx({n, d});
-  parallel_for(n, [&](std::int64_t i) {
-    const float* gr = dy.data() + i * m;
-    float* xr = dx.data() + i * d;
-    for (std::int64_t k = 0; k < d; ++k) {
-      const float* wr = w_.value.data() + k * m;
-      float acc = 0.0f;
-      for (std::int64_t j = 0; j < m; ++j) acc += gr[j] * wr[j];
-      xr[k] = acc;
+  TensorF dyt = TensorF::uninitialized({m, n});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < m; ++j) dyt[j * n + i] = g[i * m + j];
+  }
+  TensorF dx = TensorF::uninitialized({n, d});
+  const core::HostKernels& hk = core::host_kernels();
+  const float* x = x_cache_.data();
+  const float* w = w_.value.data();
+  float* wg = w_.grad.data();
+  float* dxd = dx.data();
+  constexpr std::int64_t kRows = 8;
+  for_row_chunks(d, n + m, [&](std::int64_t k0, std::int64_t k1) {
+    ScratchArena& arena = ScratchArena::local();
+    const ScratchArena::Scope scope(arena);
+    float* xt = arena.alloc_floats(static_cast<std::size_t>(kRows * n));
+    float* dxt = arena.alloc_floats(static_cast<std::size_t>(kRows * n));
+    const float* ds[kRows];
+    float* ms[kRows];
+    for (std::int64_t kb = k0; kb < k1; kb += kRows) {
+      const std::int64_t rows = std::min(kRows, k1 - kb);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t i = 0; i < n; ++i) xt[r * n + i] = x[i * d + kb + r];
+        ds[r] = xt + r * n;
+        ms[r] = wg + (kb + r) * m;
+      }
+      hk.axpy_rank1_multi(ds, g, ms, static_cast<int>(rows), n, m);
+      std::fill(dxt, dxt + rows * n, 0.0f);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        ds[r] = w + (kb + r) * m;
+        ms[r] = dxt + r * n;
+      }
+      hk.axpy_rank1_multi(ds, dyt.data(), ms, static_cast<int>(rows), m, n);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t i = 0; i < n; ++i) dxd[i * d + kb + r] = dxt[r * n + i];
+      }
     }
   });
   return dx;

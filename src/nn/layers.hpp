@@ -48,7 +48,7 @@ class Conv2D final : public Layer {
   ~Conv2D() override;
 
   std::string name() const override { return label_; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override { return infer(x, {}); }
   /// infer() followed by the layers `ep` names, fused into its bias pass.
   TensorF infer(const TensorF& x, const ConvEpilogue& ep) const;
@@ -62,7 +62,7 @@ class Conv2D final : public Layer {
   /// The same with a per-image epilogue (`ep.skip` must be null).
   std::vector<TensorF> infer_ragged(const std::vector<TensorF>& xs,
                                     const ConvEpilogue& ep) const;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::int64_t activation_bytes() const override { return x_cache_.size() * 4; }
 
@@ -98,9 +98,9 @@ class BatchNorm2D final : public Layer {
                        float eps = 1e-5f);
 
   std::string name() const override { return "batchnorm"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::int64_t activation_bytes() const override {
     return (xhat_.size() + 2 * channels_) * 4;
@@ -135,9 +135,9 @@ class LeakyReLU final : public Layer {
  public:
   explicit LeakyReLU(float slope = 0.01f);
   std::string name() const override { return "leaky_relu"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::int64_t activation_bytes() const override { return mask_.size(); }
   float slope() const { return slope_; }
 
@@ -150,9 +150,9 @@ class LeakyReLU final : public Layer {
 class MaxPool2x2 final : public Layer {
  public:
   std::string name() const override { return "maxpool2x2"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::int64_t activation_bytes() const override { return argmax_.size(); }
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override {
     (void)ctx;
@@ -168,9 +168,9 @@ class MaxPool2x2 final : public Layer {
 class GlobalAvgPool final : public Layer {
  public:
   std::string name() const override { return "global_avg_pool"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override {
     (void)ctx;
     return Dims4{in.n, 1, 1, in.c};
@@ -184,9 +184,9 @@ class GlobalAvgPool final : public Layer {
 class Flatten final : public Layer {
  public:
   std::string name() const override { return "flatten"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override {
     (void)ctx;
     return Dims4{in.n, 1, 1, in.h * in.w * in.c};
@@ -206,9 +206,9 @@ class Linear final : public Layer {
   Linear(std::int64_t in_dim, std::int64_t out_dim, Rng& rng,
          std::string label = "linear");
   std::string name() const override { return label_; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::vector<Param*> params() override { return {&w_, &b_}; }
   std::int64_t activation_bytes() const override { return x_cache_.size() * 4; }
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override {

@@ -1,5 +1,7 @@
 #include "nn/model.hpp"
 
+#include <utility>
+
 #include "common/trace.hpp"
 #include "nn/layers.hpp"
 
@@ -37,13 +39,12 @@ Step step_at(const std::vector<LayerPtr>& layers, std::size_t i) {
 
 }  // namespace
 
-TensorF Model::forward(const TensorF& x, bool train) {
-  TensorF h = x;
+TensorF Model::forward(TensorF x, bool train) {
   for (auto& l : layers_) {
     IWG_TRACE_SPAN(span, l->name(), "nn.fwd");
-    h = l->forward(h, train);
+    x = l->forward(std::move(x), train);
   }
-  return h;
+  return x;
 }
 
 TensorF Model::infer(const TensorF& x) const {
@@ -76,11 +77,10 @@ std::vector<TensorF> Model::infer_ragged(
   return hs;
 }
 
-TensorF Model::backward(const TensorF& dloss) {
-  TensorF g = dloss;
+TensorF Model::backward(TensorF g) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
     IWG_TRACE_SPAN(span, (*it)->name(), "nn.bwd");
-    g = (*it)->backward(g);
+    g = (*it)->backward(std::move(g));
   }
   return g;
 }
@@ -144,15 +144,15 @@ ResidualBlock::ResidualBlock(std::int64_t in_ch, std::int64_t out_ch,
   relu_out_ = std::make_unique<LeakyReLU>();
 }
 
-TensorF ResidualBlock::forward(const TensorF& x, bool train) {
+TensorF ResidualBlock::forward(TensorF x, bool train) {
+  // Both branches read x: the main branch takes a copy, the shortcut (or
+  // its projection) x itself.
   TensorF h = x;
-  for (auto& l : main_) h = l->forward(h, train);
-  TensorF skip = x;
-  for (auto& l : proj_) skip = l->forward(skip, train);
-  IWG_CHECK(h.same_shape(skip));
-  for (std::int64_t i = 0; i < h.size(); ++i) h[i] += skip[i];
-  if (train) skip_cache_ = skip;  // only shape matters for backward
-  return relu_out_->forward(h, train);
+  for (auto& l : main_) h = l->forward(std::move(h), train);
+  for (auto& l : proj_) x = l->forward(std::move(x), train);
+  IWG_CHECK(h.same_shape(x));
+  for (std::int64_t i = 0; i < h.size(); ++i) h[i] += x[i];
+  return relu_out_->forward(std::move(h), train);
 }
 
 TensorF ResidualBlock::infer(const TensorF& x) const {
@@ -171,19 +171,19 @@ TensorF ResidualBlock::infer(const TensorF& x) const {
   return s2.conv->infer(s1.conv->infer(x, s1.ep), s2.ep);
 }
 
-TensorF ResidualBlock::backward(const TensorF& dy) {
-  TensorF g = relu_out_->backward(dy);
-  // The addition forks the gradient into both branches.
+TensorF ResidualBlock::backward(TensorF dy) {
+  TensorF g = relu_out_->backward(std::move(dy));
+  // The addition forks the gradient into both branches: the main branch
+  // takes a copy, the shortcut g itself.
   TensorF gmain = g;
   for (auto it = main_.rbegin(); it != main_.rend(); ++it) {
-    gmain = (*it)->backward(gmain);
+    gmain = (*it)->backward(std::move(gmain));
   }
-  TensorF gskip = g;
   for (auto it = proj_.rbegin(); it != proj_.rend(); ++it) {
-    gskip = (*it)->backward(gskip);
+    g = (*it)->backward(std::move(g));
   }
-  IWG_CHECK(gmain.same_shape(gskip));
-  for (std::int64_t i = 0; i < gmain.size(); ++i) gmain[i] += gskip[i];
+  IWG_CHECK(gmain.same_shape(g));
+  for (std::int64_t i = 0; i < gmain.size(); ++i) gmain[i] += g[i];
   return gmain;
 }
 
@@ -207,7 +207,7 @@ Dims4 ResidualBlock::pretune(const Dims4& in, AutotuneContext& ctx) {
 }
 
 std::int64_t ResidualBlock::activation_bytes() const {
-  std::int64_t total = relu_out_->activation_bytes() + skip_cache_.size() * 4;
+  std::int64_t total = relu_out_->activation_bytes();
   for (const auto& l : main_) total += l->activation_bytes();
   for (const auto& l : proj_) total += l->activation_bytes();
   return total;

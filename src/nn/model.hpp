@@ -18,7 +18,10 @@ class Model {
  public:
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
-  TensorF forward(const TensorF& x, bool train);
+  /// Training (or eval) forward. Takes `x` by value and moves each
+  /// activation from layer to layer (see Layer); an lvalue argument is
+  /// copied once at the call.
+  TensorF forward(TensorF x, bool train);
   /// Inference-only forward: const and safe to run concurrently from many
   /// threads on one Model instance (see Layer::infer). Numerically identical
   /// to `forward(x, false)`.
@@ -30,7 +33,8 @@ class Model {
   /// Const and concurrency-safe like infer().
   std::vector<TensorF> infer_ragged(const std::vector<TensorF>& xs) const;
   /// Returns dL/dinput (rarely needed; gradients accumulate in params).
-  TensorF backward(const TensorF& dloss);
+  /// Moves each gradient from layer to layer, like forward.
+  TensorF backward(TensorF dloss);
 
   /// Graph-build plan pre-resolution (§5.7): propagate the batch geometry
   /// through every layer and resolve each unit-stride Winograd conv's plan
@@ -62,9 +66,9 @@ class ResidualBlock final : public Layer {
                 ConvEngine engine, Rng& rng);
 
   std::string name() const override { return "residual"; }
-  TensorF forward(const TensorF& x, bool train) override;
+  TensorF forward(TensorF x, bool train) override;
   TensorF infer(const TensorF& x) const override;
-  TensorF backward(const TensorF& dy) override;
+  TensorF backward(TensorF dy) override;
   std::vector<Param*> params() override;
   std::int64_t activation_bytes() const override;
   Dims4 pretune(const Dims4& in, AutotuneContext& ctx) override;
@@ -73,7 +77,6 @@ class ResidualBlock final : public Layer {
   std::vector<LayerPtr> main_;  // conv bn relu conv bn
   std::vector<LayerPtr> proj_;  // empty or [conv, bn]
   LayerPtr relu_out_;
-  TensorF skip_cache_;
 };
 
 struct ModelConfig {

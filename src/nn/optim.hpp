@@ -10,15 +10,17 @@
 
 namespace iwg::nn {
 
+/// step() and zero_grad() each run one parallel_for over every param's
+/// fixed-size chunks (DESIGN §8); per-param state is looked up, and created,
+/// on the calling thread first. Every element gets the same formula as a
+/// serial loop would give it, bit for bit.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
   virtual void step(const std::vector<Param*>& params) = 0;
   virtual std::string name() const = 0;
 
-  void zero_grad(const std::vector<Param*>& params) {
-    for (Param* p : params) p->zero_grad();
-  }
+  void zero_grad(const std::vector<Param*>& params);
 };
 
 class Sgdm final : public Optimizer {

@@ -121,6 +121,34 @@ TEST(ScratchArena, HighWaterTracksPeakNotCurrent) {
   EXPECT_GE(ScratchArena::max_high_water(), peak);
 }
 
+TEST(ScratchArena, OutermostScopeReplacesASkippedChainWithOneBlock) {
+  // Requests that each outgrow the block before them chain new blocks and
+  // skip the old ones. high_water() counts the bytes handed out, not the
+  // skipped tails, and the next outermost scope replaces the chain with one
+  // block of the high water rounded up to 64 KiB; a second pass of the same
+  // requests then fits that block.
+  constexpr std::size_t kKiB = 1024;
+  const std::size_t sizes[] = {48 * kKiB, 100 * kKiB, 200 * kKiB, 400 * kKiB,
+                               1024 * kKiB};
+  ScratchArena arena;
+  for (const std::size_t bytes : sizes) {
+    const ScratchArena::Scope scope(arena);
+    static_cast<std::byte*>(arena.alloc(bytes))[bytes - 1] = std::byte{1};
+  }
+  EXPECT_EQ(arena.high_water(), 1024 * kKiB);
+  { const ScratchArena::Scope scope(arena); }
+  const std::size_t held = arena.capacity();
+  EXPECT_GE(held, arena.high_water());
+  EXPECT_LE(held, (arena.high_water() + 64 * kKiB - 1) / (64 * kKiB) *
+                      (64 * kKiB));
+  for (const std::size_t bytes : sizes) {
+    const ScratchArena::Scope scope(arena);
+    static_cast<std::byte*>(arena.alloc(bytes))[bytes - 1] = std::byte{2};
+    EXPECT_EQ(arena.capacity(), held);
+  }
+  EXPECT_EQ(arena.high_water(), 1024 * kKiB);
+}
+
 TEST(ScratchArena, TrimReleasesPeakCapacity) {
   ScratchArena arena;
   {

@@ -397,7 +397,7 @@ class GateLayer final : public nn::Layer {
   static constexpr float kHold = -1.0f;
 
   std::string name() const override { return "gate"; }
-  TensorF forward(const TensorF& x, bool) override { return infer(x); }
+  TensorF forward(TensorF x, bool) override { return infer(x); }
   TensorF infer(const TensorF& x) const override {
     std::unique_lock lock(mu_);
     const std::int64_t per = x.size() / x.dim(0);
@@ -409,7 +409,7 @@ class GateLayer final : public nn::Layer {
     }
     return x;
   }
-  TensorF backward(const TensorF& dy) override { return dy; }
+  TensorF backward(TensorF dy) override { return dy; }
 
   void wait_held() const {
     std::unique_lock lock(mu_);

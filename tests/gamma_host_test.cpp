@@ -347,8 +347,8 @@ TEST(FilterTransform, ForwardAndDeconvAreBitwiseTheLiteralFormula) {
             [&](std::int64_t fh, int j, std::int64_t oc, std::int64_t ic) {
               return w.at(oc, s.fh - 1 - fh, s.fw - 1 - j, ic);
             });
-        const std::vector<float> got_fwd = transform_filter_host(w, s, cfg);
-        const std::vector<float> got_dec = deconv_transform_filter_host(w, cfg);
+        const Buffer<float> got_fwd = transform_filter_host(w, s, cfg);
+        const Buffer<float> got_dec = deconv_transform_filter_host(w, cfg);
         SCOPED_TRACE(std::string(host_isa_name(isa)) + " ic=" +
                      std::to_string(s.ic) + " oc=" + std::to_string(s.oc) +
                      " alpha=" + std::to_string(cfg.alpha));

@@ -164,7 +164,7 @@ TEST(FilterTransformCache, GemmPanelFollowsVersionAndInvalidate) {
   EXPECT_EQ(max_abs_diff(y0, y1), 0.0);
   const auto panel = cache.get_or_compute(
       {w.data(), 0, kGemmPanelAlpha, static_cast<int>(s.fw), false},
-      [] { return std::vector<float>(); });
+      [] { return Buffer<float>(); });
   EXPECT_EQ(*panel, gemm_panel_host(w));
   opts.weights_version = 1;
   (void)conv2d_strided(x, w, s, 2, opts);

@@ -250,6 +250,180 @@ TEST(NnLayers, MaxPoolSelectsMaximum) {
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
 }
 
+TEST(NnLayers, MaxPoolIsBitwiseTheLiteralWindowFormula) {
+  // forward (train and eval), infer and backward against the per-window
+  // formula: (0,0), (0,1), (1,0), (1,1) in order, a candidate wins only if
+  // it is `>` the best so far (first maximum wins a tie; a NaN never
+  // replaces the best), and dx is a zeroed tensor with 0.0f + g added at
+  // the winner. Values on a coarse grid make ties common, and ±0 and NaN
+  // are sprinkled in. The first shape pools inline, the second splits
+  // into row chunks across the pool (more than 8 192 output floats).
+  const std::int64_t shapes[][4] = {{2, 4, 6, 3}, {3, 64, 40, 13}};
+  for (const auto& sh : shapes) {
+    const std::int64_t n = sh[0], ih = sh[1], iw = sh[2], c = sh[3];
+    SCOPED_TRACE("N=" + std::to_string(n) + " " + std::to_string(ih) + "x" +
+                 std::to_string(iw) + " C=" + std::to_string(c));
+    Rng rng(static_cast<unsigned>(50 + c));
+    TensorF x({n, ih, iw, c});
+    for (std::int64_t i = 0; i < x.size(); ++i) {
+      const std::uint64_t pick = rng.below(16);
+      x[i] = pick == 0   ? -0.0f
+             : pick == 1 ? 0.0f
+             : pick == 2 ? std::nanf("")
+                         : 0.5f * static_cast<float>(rng.below(9)) - 2.0f;
+    }
+    TensorF dy({n, ih / 2, iw / 2, c});
+    for (std::int64_t i = 0; i < dy.size(); ++i) {
+      dy[i] = rng.below(8) == 0 ? -0.0f : rng.uniform(-1.0f, 1.0f);
+    }
+    TensorF want_y({n, ih / 2, iw / 2, c});
+    TensorF want_dx({n, ih, iw, c});
+    for (std::int64_t ni = 0; ni < n; ++ni) {
+      for (std::int64_t h = 0; h < ih / 2; ++h) {
+        for (std::int64_t w = 0; w < iw / 2; ++w) {
+          for (std::int64_t ch = 0; ch < c; ++ch) {
+            const std::int64_t hs[4] = {2 * h, 2 * h, 2 * h + 1, 2 * h + 1};
+            const std::int64_t ws[4] = {2 * w, 2 * w + 1, 2 * w, 2 * w + 1};
+            int win = 0;
+            float best = x.at(ni, hs[0], ws[0], ch);
+            for (int k = 1; k < 4; ++k) {
+              if (x.at(ni, hs[k], ws[k], ch) > best) {
+                best = x.at(ni, hs[k], ws[k], ch);
+                win = k;
+              }
+            }
+            want_y.at(ni, h, w, ch) = best;
+            want_dx.at(ni, hs[win], ws[win], ch) += dy.at(ni, h, w, ch);
+          }
+        }
+      }
+    }
+    const auto bytes = [](const TensorF& t) {
+      return static_cast<std::size_t>(t.size()) * sizeof(float);
+    };
+    MaxPool2x2 pool;
+    const TensorF y_eval = pool.forward(x, /*train=*/false);
+    const TensorF y_infer = pool.infer(x);
+    const TensorF y_train = pool.forward(x, /*train=*/true);
+    const TensorF dx = pool.backward(dy);
+    for (const TensorF* y : {&y_eval, &y_infer, &y_train}) {
+      ASSERT_TRUE(y->same_shape(want_y));
+      EXPECT_EQ(std::memcmp(y->data(), want_y.data(), bytes(want_y)), 0);
+    }
+    ASSERT_TRUE(dx.same_shape(want_dx));
+    EXPECT_EQ(std::memcmp(dx.data(), want_dx.data(), bytes(want_dx)), 0);
+  }
+}
+
+TEST(NnLayers, Conv2DBiasGradientMatchesFp64AndRepeatsBitwise) {
+  // The bias gradient is FP64 column sums over fixed 256-row blocks, cast
+  // to float once: within ε·Σ|dy| of the FP64 sum (one rounding of at most
+  // ε/2·|sum|, the FP64 partials' error far below it). Row counts are off
+  // the block grid and OC off the 8-lane grid; the strided layer runs the
+  // same reduction.
+  constexpr double kEps = 1.0 / (1 << 24);
+  struct Case {
+    std::int64_t n, h, w, stride;
+  };
+  for (const Case& k : {Case{3, 7, 13, 1}, Case{2, 19, 23, 1},
+                        Case{2, 18, 22, 2}}) {
+    SCOPED_TRACE("N=" + std::to_string(k.n) + " " + std::to_string(k.h) +
+                 "x" + std::to_string(k.w) + " stride " +
+                 std::to_string(k.stride));
+    constexpr std::int64_t kOc = 13;
+    Rng rng(static_cast<unsigned>(60 + k.h));
+    Conv2D conv(4, kOc, 3, k.stride, 1, ConvEngine::kWinograd, rng);
+    Param& b = *conv.params()[1];
+    const TensorF x = rand_input({k.n, k.h, k.w, 4}, 61);
+    const TensorF y = conv.forward(x, /*train=*/true);
+    TensorF dy = y;
+    dy.fill_uniform(rng, -1.0f, 1.0f);
+    const std::int64_t rows = dy.size() / kOc;
+    ASSERT_NE(rows % 256, 0);
+    b.zero_grad();
+    (void)conv.backward(dy);
+    const TensorF first = b.grad;
+    for (std::int64_t ch = 0; ch < kOc; ++ch) {
+      double want = 0.0;
+      double mag = 0.0;
+      for (std::int64_t i = 0; i < rows; ++i) {
+        want += dy[i * kOc + ch];
+        mag += std::abs(dy[i * kOc + ch]);
+      }
+      EXPECT_LE(std::abs(first[ch] - want), kEps * mag) << "channel " << ch;
+    }
+    b.zero_grad();
+    (void)conv.backward(dy);
+    EXPECT_EQ(std::memcmp(first.data(), b.grad.data(), kOc * sizeof(float)),
+              0);
+  }
+}
+
+TEST(NnLayers, LinearBackwardMatchesFp64) {
+  // dW, db and dX against FP64, each within (K+1)·ε/2·Σ|terms| for its K
+  // terms (N for dW and db, M for dX) — the forward's bound. D×M = 37×19
+  // runs inline; 300×40 splits into feature chunks across the pool. Batches
+  // of 1, 8 and 13 rows.
+  constexpr double kEps = 1.1920929e-7;
+  const std::int64_t dims[][2] = {{37, 19}, {300, 40}};
+  for (const auto& dm : dims) {
+    const std::int64_t d = dm[0];
+    const std::int64_t m = dm[1];
+    Rng rng(static_cast<unsigned>(70 + d));
+    Linear lin(d, m, rng);
+    Param& w = *lin.params()[0];
+    Param& b = *lin.params()[1];
+    for (const std::int64_t n : {1, 8, 13}) {
+      SCOPED_TRACE("D=" + std::to_string(d) + " M=" + std::to_string(m) +
+                   " N=" + std::to_string(n));
+      const TensorF x = rand_input({n, d}, static_cast<unsigned>(71 + n));
+      const TensorF dy = rand_input({n, m}, static_cast<unsigned>(72 + n));
+      (void)lin.forward(x, /*train=*/true);
+      w.zero_grad();
+      b.zero_grad();
+      const TensorF dx = lin.backward(dy);
+      ASSERT_EQ(dx.dim(0), n);
+      ASSERT_EQ(dx.dim(1), d);
+      for (std::int64_t k = 0; k < d; ++k) {
+        for (std::int64_t j = 0; j < m; ++j) {
+          double want = 0.0;
+          double mag = 0.0;
+          for (std::int64_t i = 0; i < n; ++i) {
+            const double t = static_cast<double>(x[i * d + k]) * dy[i * m + j];
+            want += t;
+            mag += std::abs(t);
+          }
+          ASSERT_NEAR(w.grad[k * m + j], want, (n + 1) * 0.5 * kEps * mag)
+              << "dW " << k << "," << j;
+        }
+      }
+      for (std::int64_t j = 0; j < m; ++j) {
+        double want = 0.0;
+        double mag = 0.0;
+        for (std::int64_t i = 0; i < n; ++i) {
+          want += dy[i * m + j];
+          mag += std::abs(dy[i * m + j]);
+        }
+        EXPECT_NEAR(b.grad[j], want, (n + 1) * 0.5 * kEps * mag) << "db " << j;
+      }
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t k = 0; k < d; ++k) {
+          double want = 0.0;
+          double mag = 0.0;
+          for (std::int64_t j = 0; j < m; ++j) {
+            const double t =
+                static_cast<double>(dy[i * m + j]) * w.value[k * m + j];
+            want += t;
+            mag += std::abs(t);
+          }
+          ASSERT_NEAR(dx[i * d + k], want, (m + 1) * 0.5 * kEps * mag)
+              << "dX " << i << "," << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(NnLayers, BatchNormNormalizesTrainingBatch) {
   BatchNorm2D bn(2);
   Rng rng(31);

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <tuple>
 
 #include "core/plan_cache.hpp"
 #include "data/synthetic.hpp"
@@ -53,6 +57,98 @@ TEST(Optimizers, AdamConvergesOnQuadratic) {
     opt.step({&p});
   }
   EXPECT_NEAR(p.value[0], 1.0f, 0.05f);
+}
+
+TEST(Optimizers, StepsAreBitwiseThePerElementFormula) {
+  // Three steps of SGDM and of Adam over params whose sizes are not
+  // multiples of the optimizers' chunk (a 1-element param among them)
+  // against the per-element formulas, bit for bit; zero_grad clears every
+  // element of every param.
+  const std::int64_t sizes[] = {1, 100, 16385, 40001};
+  const auto make = [&](unsigned seed) {
+    std::vector<Param> ps(std::size(sizes));
+    Rng rng(seed);
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+      ps[k].value.reset({sizes[k]});
+      ps[k].value.fill_uniform(rng, -1.0f, 1.0f);
+      ps[k].grad.reset({sizes[k]});
+    }
+    return ps;
+  };
+  const auto grads = [](std::vector<Param>& ps, int step) {
+    Rng rng(static_cast<unsigned>(90 + step));
+    for (Param& p : ps) p.grad.fill_uniform(rng, -2.0f, 2.0f);
+  };
+  const auto same = [](const TensorF& a, const TensorF& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) * sizeof(float)) ==
+               0;
+  };
+  const float lr = 0.01f;
+  {
+    std::vector<Param> ps = make(81);
+    std::vector<Param> want = make(81);
+    std::vector<Param*> ptrs;
+    for (Param& p : ps) ptrs.push_back(&p);
+    std::vector<TensorF> vel;
+    for (const Param& p : want) vel.emplace_back(std::vector{p.value.size()});
+    Sgdm opt(lr, 0.9f);
+    for (int step = 0; step < 3; ++step) {
+      grads(ps, step);
+      grads(want, step);
+      opt.step(ptrs);
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        for (std::int64_t i = 0; i < want[k].value.size(); ++i) {
+          vel[k][i] = 0.9f * vel[k][i] + want[k].grad[i];
+          want[k].value[i] -= lr * vel[k][i];
+        }
+      }
+    }
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+      EXPECT_TRUE(same(ps[k].value, want[k].value)) << "SGDM param " << k;
+      EXPECT_EQ(ps[k].version, 3u);
+    }
+    opt.zero_grad(ptrs);
+    for (const Param& p : ps) {
+      for (std::int64_t i = 0; i < p.grad.size(); ++i) {
+        ASSERT_EQ(p.grad[i], 0.0f);
+      }
+    }
+  }
+  {
+    std::vector<Param> ps = make(82);
+    std::vector<Param> want = make(82);
+    std::vector<Param*> ptrs;
+    for (Param& p : ps) ptrs.push_back(&p);
+    std::vector<TensorF> ms, vs;
+    for (const Param& p : want) {
+      ms.emplace_back(std::vector{p.value.size()});
+      vs.emplace_back(std::vector{p.value.size()});
+    }
+    const float b1 = 0.9f, b2 = 0.999f, eps = 1e-8f;
+    Adam opt(lr, b1, b2, eps);
+    for (int step = 0; step < 3; ++step) {
+      grads(ps, step);
+      grads(want, step);
+      opt.step(ptrs);
+      const float bc1 = 1.0f - std::pow(b1, static_cast<float>(step + 1));
+      const float bc2 = 1.0f - std::pow(b2, static_cast<float>(step + 1));
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        for (std::int64_t i = 0; i < want[k].value.size(); ++i) {
+          const float g = want[k].grad[i];
+          ms[k][i] = b1 * ms[k][i] + (1.0f - b1) * g;
+          vs[k][i] = b2 * vs[k][i] + (1.0f - b2) * g * g;
+          const float mh = ms[k][i] / bc1;
+          const float vh = vs[k][i] / bc2;
+          want[k].value[i] -= lr * mh / (std::sqrt(vh) + eps);
+        }
+      }
+    }
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+      EXPECT_TRUE(same(ps[k].value, want[k].value)) << "Adam param " << k;
+    }
+  }
 }
 
 TEST(ModelZoo, VggLayerCounts) {
@@ -244,6 +340,55 @@ TEST(Training, WinogradAndGemmEnginesConvergeTogether) {
   EXPECT_LT(std::abs(sa.loss_curve[0] - sb.loss_curve[0]), 1e-3);
   EXPECT_LT(max_gap, 0.5);
   EXPECT_NEAR(sa.train_accuracy, sb.train_accuracy, 0.3);
+}
+
+TEST(Training, IdenticalModelsTrainToBitwiseEqualWeights) {
+  // Every training pass has a fixed partition (row chunks, 256-row blocks,
+  // optimizer chunks, per-task outputs), so two identical models trained on
+  // the same batches end bitwise equal, whatever the pool's scheduling.
+  const auto ds = data::make_cifar_like(48, 17, /*size=*/8);
+  ModelConfig mc;
+  mc.image_size = 8;
+  mc.base_channels = 4;
+  mc.seed = 5;
+  for (const bool resnet : {false, true}) {
+    for (const bool adam : {false, true}) {
+      SCOPED_TRACE(std::string(resnet ? "ResNet18" : "VGG16") +
+                   (adam ? " Adam" : " SGDM"));
+      Model a = resnet ? make_resnet(18, mc) : make_vgg(16, mc);
+      Model b = resnet ? make_resnet(18, mc) : make_vgg(16, mc);
+      std::unique_ptr<Optimizer> oa, ob;
+      if (adam) {
+        oa = std::make_unique<Adam>(1e-3f);
+        ob = std::make_unique<Adam>(1e-3f);
+      } else {
+        oa = std::make_unique<Sgdm>(1e-2f);
+        ob = std::make_unique<Sgdm>(1e-2f);
+      }
+      const std::vector<Param*> pa = a.params();
+      const std::vector<Param*> pb = b.params();
+      for (int step = 0; step < 3; ++step) {
+        std::vector<std::int64_t> labels;
+        const TensorF x = ds.batch(step * 16, 16, labels);
+        for (auto [m, o, ps] : {std::tuple{&a, oa.get(), &pa},
+                                std::tuple{&b, ob.get(), &pb}}) {
+          o->zero_grad(*ps);
+          const TensorF logits = m->forward(x, /*train=*/true);
+          m->backward(softmax_cross_entropy(logits, labels).dlogits);
+          o->step(*ps);
+        }
+      }
+      ASSERT_EQ(pa.size(), pb.size());
+      for (std::size_t k = 0; k < pa.size(); ++k) {
+        ASSERT_TRUE(pa[k]->value.same_shape(pb[k]->value));
+        EXPECT_EQ(std::memcmp(pa[k]->value.data(), pb[k]->value.data(),
+                              static_cast<std::size_t>(pa[k]->value.size()) *
+                                  sizeof(float)),
+                  0)
+            << pa[k]->name;
+      }
+    }
+  }
 }
 
 TEST(Training, EvaluateReportsAccuracy) {

@@ -67,6 +67,22 @@ TEST(Tensor, InvalidDimsThrow) {
   EXPECT_THROW(TensorF({1, 2, 3, 4, 5, 6}), Error);
 }
 
+TEST(Tensor, ReshapeKeepsElementsAndUninitializedHasShape) {
+  TensorF t({2, 3, 4});
+  for (std::int64_t i = 0; i < t.size(); ++i) t[i] = static_cast<float>(i);
+  const float* data = t.data();
+  t.reshape({6, 4});
+  EXPECT_EQ(t.rank(), 2);
+  EXPECT_EQ(t.dim(0), 6);
+  EXPECT_EQ(t.data(), data);  // no copy
+  EXPECT_EQ(t.at(5, 3, 0, 0), 23.0f);
+  EXPECT_THROW(t.reshape({5, 4}), Error);
+  const TensorF u = TensorF::uninitialized({3, 5, 7});
+  EXPECT_EQ(u.rank(), 3);
+  EXPECT_EQ(u.size(), 105);
+  EXPECT_EQ(u.offset(1, 2, 3, 0), 1 * 35 + 2 * 7 + 3);
+}
+
 TEST(Tensor, Rank5Volumes) {
   TensorF t({2, 3, 4, 5, 6});
   EXPECT_EQ(t.rank(), 5);
