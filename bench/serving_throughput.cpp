@@ -1,13 +1,13 @@
-// Serving throughput harness (ISSUE 4 acceptance criterion): micro-batching
-// must pay for its latency cost. Under equal offered load, a session with
-// batch cap >= 8 must sustain >= 2x the requests/s of batch-size-1 dispatch,
-// and batched outputs must be bit-identical to per-request inference.
+// Serving harness: micro-batching must not change a single output bit, and
+// the paper's serving argument — batches and ragged batches amortize a
+// latency-bound GPU — is costed on the device model. Every request is
+// served through a FleetScheduler (one tenant for the parity experiments).
 //
 // Four experiments:
-//   1. Parity — every image served through a cap-8 padded session matches a
-//      per-request Model::infer on an identically-seeded model, bitwise.
-//      (Both sides use default §5.5 plans — plan_for() is batch-size
-//      independent, so batching cannot change the arithmetic.)
+//   1. Parity — every image served through a one-tenant fleet (batch cap 8)
+//      matches a per-request Model::infer on an identically-seeded model,
+//      bitwise. (Both sides use default §5.5 plans — plan_for() is
+//      batch-size independent, so batching cannot change the arithmetic.)
 //   2. Device-modeled dispatch (the 2x gate) — the served model's conv
 //      stack profiled on the RTX 3060 Ti profile at micro-batch 1 vs 8.
 //      This is where the paper's serving argument lives: at batch 1 the Γ
@@ -15,27 +15,17 @@
 //      of 8 costs barely more than a batch of 1 and requests/s scale almost
 //      linearly with the cap. Deterministic (sampled-counter model), so it
 //      gates in smoke mode too.
-//   3. Closed loop (host wall clock) — C clients, each with one outstanding
-//      request, drive a cap-1 and a cap-8 session to saturation. On a
-//      multi-core host batching wins by filling the thread pool; on a
-//      single-core box per-image compute serializes either way and only the
-//      per-dispatch overhead amortizes, so the wall-clock 2x gate applies
-//      only when hardware_concurrency >= 4 (and never in smoke mode).
-//   4. Open loop — a fixed arrival rate (fractions of the measured cap-8
-//      capacity) with per-request deadlines; reports achieved rate, p50/p99
-//      latency, and how admission control + deadline shedding degrade.
-//   5. Mixed-shape traffic (the ragged-batching 3x gate) — arrivals drawn
+//   3. Mixed-shape traffic (the ragged-batching 3x gate) — arrivals drawn
 //      from a realistic multi-resolution distribution (8px 50%, 6px 20%,
-//      10px 15%, 12px 10%, 16px 5%) are served by the legacy
-//      split-on-mismatch policy (batch-1/2 ping-pong, every dispatch padded
-//      to the cap) and by the indirect policy (one ragged Γ dispatch per
-//      window). The enforced gate is device-modeled and deterministic:
-//      replaying the same arrival sequence through both batching policies,
-//      costed with profile_conv2d, the indirect schedule must be >= 3x
-//      cheaper. Wall-clock closed-loop rps for both policies is reported
-//      too (gated on >= 4 cores, like experiment 3), plus per-image bitwise
-//      parity and the padded-slots == 0 invariant of the indirect path.
-//   6. Multi-tenant fleet — three tenants (weights 4/2/1) share one
+//      10px 15%, 12px 10%, 16px 5%). The enforced gate is device-modeled
+//      and deterministic: the same arrival sequence is replayed through a
+//      split-on-mismatch schedule (batch-1/2 ping-pong, every dispatch
+//      padded to the cap) and through the fleet's rule (one ragged Γ
+//      dispatch per window), costed with profile_conv2d; the ragged
+//      schedule must be >= 3x cheaper. Plus per-image bitwise parity of
+//      mixed traffic served through the fleet. The host wall-clock serving
+//      numbers live in the repository benchmark (serve_light, fleet_mixed).
+//   4. Multi-tenant fleet — three tenants (weights 4/2/1) share one
 //      FleetScheduler at 2x the measured aggregate capacity. Fairness: each
 //      tenant's completion share must track weight / Σ weights (max relative
 //      deviation <= 15% in full mode); per-tenant p50/p99 show the weighted
@@ -103,19 +93,6 @@ nn::Model make_model() {
   return m;
 }
 
-serve::SessionConfig base_config(std::size_t max_batch) {
-  serve::SessionConfig cfg;
-  cfg.image_h = kImage;
-  cfg.image_w = kImage;
-  cfg.channels = 3;
-  cfg.batch.max_batch = max_batch;
-  cfg.batch.max_wait = 2ms;
-  cfg.batch.idle_wait = 5ms;
-  cfg.queue_capacity = 256;
-  cfg.workers = 1;  // one dispatcher: isolates the batching effect
-  return cfg;
-}
-
 TensorF random_image(Rng& rng, std::int64_t hw = kImage) {
   TensorF img({hw, hw, 3});
   img.fill_uniform(rng, -1.0f, 1.0f);
@@ -140,16 +117,28 @@ double percentile(std::vector<double> v, double p) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 1: bitwise parity, batched vs per-request.
+// Experiment 1 (and 3's parity): bitwise parity, batched vs per-request.
 
-bool check_parity(int num_images) {
+/// Serves `images` through a one-tenant fleet (one worker, which isolates
+/// the batching effect; batch cap 8) and compares every output, bitwise,
+/// with a per-request Model::infer on an identically-seeded model.
+bool served_bitwise_equal(const std::vector<TensorF>& images) {
   const nn::Model reference = make_model();
-  serve::ServingSession session(make_model(), base_config(8));
-  Rng rng(5);
-  std::vector<TensorF> images;
+  serve::FleetConfig fc;
+  fc.workers = 1;
+  fc.max_wait = 2ms;
+  fc.idle_wait = 5ms;
+  serve::FleetScheduler fleet(fc);
+  serve::TenantConfig tc;
+  tc.id = "model";
+  tc.image_h = kImage;
+  tc.image_w = kImage;
+  tc.channels = 3;
+  tc.max_batch = 8;
+  tc.queue_capacity = 256;
+  fleet.add_tenant(make_model(), tc);
   std::vector<std::future<serve::Response>> futs;
-  for (int i = 0; i < num_images; ++i) images.push_back(random_image(rng));
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
+  for (const TensorF& img : images) futs.push_back(fleet.submit(tc.id, img));
   bool ok = true;
   for (std::size_t i = 0; i < futs.size(); ++i) {
     const serve::Response r = futs[i].get();
@@ -160,8 +149,15 @@ bool check_parity(int num_images) {
                      static_cast<std::size_t>(want.size()) * sizeof(float)) ==
              0;
   }
-  session.stop();
-  return ok && session.stats().all_resolved();
+  fleet.stop();
+  return ok && fleet.stats().all_resolved();
+}
+
+bool check_parity(int num_images) {
+  Rng rng(5);
+  std::vector<TensorF> images;
+  for (int i = 0; i < num_images; ++i) images.push_back(random_image(rng));
+  return served_bitwise_equal(images);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,118 +203,14 @@ double stack_time(std::int64_t hw, std::int64_t n,
 
 /// Modeled requests/s when every dispatch carries `n` images: n over the
 /// summed per-layer kernel times on `dev` (default §5.5 plans, the same
-/// plans the session executes).
+/// plans the fleet executes).
 double modeled_dispatch_rps(std::int64_t n, const sim::DeviceProfile& dev) {
   const double total_s = stack_time(kImage, n, dev);
   return total_s > 0.0 ? static_cast<double>(n) / total_s : 0.0;
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 3: closed-loop saturation throughput.
-
-struct ClosedLoopResult {
-  double rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double mean_batch = 0.0;
-};
-
-/// `clients` threads, each keeping exactly one request outstanding — the
-/// classic closed loop, so both sessions see identical offered concurrency.
-ClosedLoopResult run_closed_loop(std::size_t max_batch, int clients,
-                                 int per_client) {
-  serve::ServingSession session(make_model(), base_config(max_batch));
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(clients));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  Timer wall;
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(static_cast<unsigned>(100 + c));
-      auto& mine = latencies[static_cast<std::size_t>(c)];
-      mine.reserve(static_cast<std::size_t>(per_client));
-      for (int i = 0; i < per_client; ++i) {
-        const serve::Response r = session.submit(random_image(rng)).get();
-        if (r.ok()) mine.push_back(r.latency_us);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double secs = wall.seconds();
-  session.stop();
-
-  std::vector<double> all;
-  for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  ClosedLoopResult res;
-  res.rps = static_cast<double>(all.size()) / secs;
-  res.p50_us = percentile(all, 0.50);
-  res.p99_us = percentile(all, 0.99);
-  const auto stats = session.stats();
-  res.mean_batch = stats.batches > 0 ? static_cast<double>(stats.completed) /
-                                           static_cast<double>(stats.batches)
-                                     : 0.0;
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-// Experiment 4: open-loop offered load.
-
-struct OpenLoopResult {
-  double offered_rps = 0.0;
-  double achieved_rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  std::int64_t completed = 0;
-  std::int64_t rejected = 0;
-  std::int64_t expired = 0;
-};
-
-/// One generator thread submits at a fixed rate (deadline 100 ms) for
-/// `duration`; overload shows up as rejections/expiries, not client stall.
-OpenLoopResult run_open_loop(double offered_rps, std::chrono::milliseconds
-                                                     duration) {
-  serve::ServingSession session(make_model(), base_config(8));
-  const auto interval = std::chrono::duration_cast<serve::Clock::duration>(
-      std::chrono::duration<double>(1.0 / offered_rps));
-  const int total = static_cast<int>(
-      offered_rps * std::chrono::duration<double>(duration).count());
-
-  Rng rng(9);
-  std::vector<std::future<serve::Response>> futs;
-  futs.reserve(static_cast<std::size_t>(total));
-  Timer wall;
-  auto next = serve::Clock::now();
-  for (int i = 0; i < total; ++i) {
-    futs.push_back(
-        session.submit(random_image(rng), serve::Deadline::after(100ms)));
-    next += interval;
-    std::this_thread::sleep_until(next);
-  }
-  OpenLoopResult res;
-  res.offered_rps = offered_rps;
-  std::vector<double> lat;
-  for (auto& f : futs) {
-    const serve::Response r = f.get();
-    if (r.ok()) {
-      ++res.completed;
-      lat.push_back(r.latency_us);
-    } else if (r.status == serve::Status::kRejected) {
-      ++res.rejected;
-    } else if (r.status == serve::Status::kExpired) {
-      ++res.expired;
-    }
-  }
-  const double secs = wall.seconds();
-  session.stop();
-  res.achieved_rps = static_cast<double>(res.completed) / secs;
-  res.p50_us = percentile(lat, 0.50);
-  res.p99_us = percentile(lat, 0.99);
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-// Experiment 5: mixed-shape traffic — split-on-mismatch vs indirect.
+// Experiment 3: mixed-shape traffic — split-on-mismatch vs ragged, modeled.
 
 /// Realistic multi-resolution serving mix (even sizes — the model has a
 /// MaxPool2x2): 8px 50%, 6px 20%, 10px 15%, 12px 10%, 16px 5%.
@@ -337,7 +229,7 @@ std::vector<std::int64_t> mixed_arrival_sequence(int n, unsigned seed = 2024) {
   return seq;
 }
 
-struct MixedModeled {
+struct RaggedReplay {
   double split_s = 0.0;
   double indirect_s = 0.0;
   double speedup = 0.0;
@@ -345,19 +237,19 @@ struct MixedModeled {
   int indirect_dispatches = 0;
 };
 
-/// Deterministic replay of one arrival sequence through both batching
-/// policies, costed on the device model. Split (today's shipped behavior):
-/// the queue is cut at every shape mismatch, each cut padded to the cap —
-/// interleaved traffic degenerates to short runs that still pay full
-/// batch-8 dispatches. Indirect: each window of max_batch consecutive
+/// Deterministic replay of one arrival sequence through two batching
+/// schedules, costed on the device model. Split: the queue is cut at every
+/// shape mismatch, each cut padded to the cap — interleaved traffic
+/// degenerates to short runs that still pay full batch-8 dispatches.
+/// Indirect (the fleet's rule): each window of max_batch consecutive
 /// arrivals ships as ONE ragged dispatch; the merged grid has a full
 /// batch's worth of tile rows, so per-image cost is the full-batch
 /// amortized cost of its own shape (that occupancy is exactly what
 /// experiment 2 measures) and no pad slots exist.
-MixedModeled modeled_mixed(const std::vector<std::int64_t>& seq,
+RaggedReplay modeled_mixed(const std::vector<std::int64_t>& seq,
                            std::size_t max_batch,
                            const sim::DeviceProfile& dev) {
-  MixedModeled m;
+  RaggedReplay m;
   for (std::size_t i = 0; i < seq.size();) {
     std::size_t j = i;
     while (j < seq.size() && seq[j] == seq[i] && j - i < max_batch) ++j;
@@ -378,94 +270,19 @@ MixedModeled modeled_mixed(const std::vector<std::int64_t>& seq,
   return m;
 }
 
-struct MixedLoopResult {
-  double rps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double mean_batch = 0.0;
-  std::int64_t batches = 0;
-  std::int64_t indirect_batches = 0;
-  std::int64_t padded_slots = 0;  ///< serve.padded_slots delta for this run
-  bool all_resolved = false;
-};
-
-/// Closed loop over mixed-shape traffic: every client draws its image sizes
-/// from the same distribution the modeled replay uses.
-MixedLoopResult run_closed_loop_mixed(serve::MixedMode mode, int clients,
-                                      int per_client) {
-  serve::SessionConfig cfg = base_config(8);
-  cfg.batch.mixed = mode;
-  auto& padded =
-      trace::MetricsRegistry::global().counter("serve.padded_slots");
-  const std::int64_t padded_before = padded.value();
-  serve::ServingSession session(make_model(), cfg);
-  std::vector<std::vector<double>> latencies(
-      static_cast<std::size_t>(clients));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  Timer wall;
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(static_cast<unsigned>(500 + c));
-      auto& mine = latencies[static_cast<std::size_t>(c)];
-      mine.reserve(static_cast<std::size_t>(per_client));
-      for (int i = 0; i < per_client; ++i) {
-        const std::int64_t hw = draw_mixed_size(rng);
-        const serve::Response r =
-            session.submit(random_image(rng, hw)).get();
-        if (r.ok()) mine.push_back(r.latency_us);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double secs = wall.seconds();
-  session.stop();
-
-  std::vector<double> all;
-  for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
-  MixedLoopResult res;
-  res.rps = static_cast<double>(all.size()) / secs;
-  res.p50_us = percentile(all, 0.50);
-  res.p99_us = percentile(all, 0.99);
-  const auto stats = session.stats();
-  res.batches = stats.batches;
-  res.indirect_batches = stats.indirect_batches;
-  res.mean_batch = stats.batches > 0 ? static_cast<double>(stats.completed) /
-                                           static_cast<double>(stats.batches)
-                                     : 0.0;
-  res.padded_slots = padded.value() - padded_before;
-  res.all_resolved = stats.all_resolved();
-  return res;
-}
-
-/// Mixed-traffic parity: every image served through an indirect session
-/// must match a per-image Model::infer at its own shape, bitwise.
+/// Mixed-traffic parity: every image served through the fleet (ragged
+/// batches) must match a per-image Model::infer at its own shape, bitwise.
 bool check_parity_mixed(int num_images) {
-  const nn::Model reference = make_model();
-  serve::ServingSession session(make_model(), base_config(8));
   Rng rng(55);
   std::vector<TensorF> images;
-  std::vector<std::future<serve::Response>> futs;
   for (int i = 0; i < num_images; ++i) {
     images.push_back(random_image(rng, draw_mixed_size(rng)));
   }
-  for (const TensorF& img : images) futs.push_back(session.submit(img));
-  bool ok = true;
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const serve::Response r = futs[i].get();
-    if (!r.ok()) return false;
-    const TensorF want = infer_single(reference, images[i]);
-    ok = ok && r.output.size() == want.size() &&
-         std::memcmp(r.output.data(), want.data(),
-                     static_cast<std::size_t>(want.size()) * sizeof(float)) ==
-             0;
-  }
-  session.stop();
-  return ok && session.stats().all_resolved();
+  return served_bitwise_equal(images);
 }
 
 // ---------------------------------------------------------------------------
-// Experiment 6: multi-tenant fleet — weighted-fair shares under 2x overload,
+// Experiment 4: multi-tenant fleet — weighted-fair shares under 2x overload,
 // and FIFO-vs-EDF deadline-miss rates on the same overloaded traffic.
 
 constexpr double kFleetWeights[3] = {4.0, 2.0, 1.0};
@@ -718,24 +535,10 @@ int main(int argc, char** argv) {
               "  batching speedup: %.2fx\n",
               dev_rps1, dev_rps8, dev_speedup);
 
-  const int clients = 16;
-  const int per_client = smoke ? 12 : 48;
-  const ClosedLoopResult batch1 = run_closed_loop(1, clients, per_client);
-  const ClosedLoopResult batch8 = run_closed_loop(8, clients, per_client);
-  const double speedup = batch1.rps > 0.0 ? batch8.rps / batch1.rps : 0.0;
-  std::printf("closed loop, %d clients:\n", clients);
-  std::printf("  cap 1: %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f\n",
-              batch1.rps, batch1.p50_us, batch1.p99_us, batch1.mean_batch);
-  std::printf("  cap 8: %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f\n",
-              batch8.rps, batch8.p50_us, batch8.p99_us, batch8.mean_batch);
-  std::printf("  batching speedup: %.2fx\n", speedup);
-
   // Mixed-shape traffic: deterministic modeled replay (the 3x gate) plus
-  // wall-clock closed loop under both policies.
+  // bitwise parity through the fleet.
   const auto arrivals = mixed_arrival_sequence(smoke ? 64 : 512);
-  const MixedModeled mm = modeled_mixed(arrivals, 8, dev);
+  const RaggedReplay mm = modeled_mixed(arrivals, 8, dev);
   std::printf("mixed-shape modeled replay (%zu arrivals, 8:50%% 6:20%% "
               "10:15%% 12:10%% 16:5%%):\n",
               arrivals.size());
@@ -747,39 +550,6 @@ int main(int argc, char** argv) {
   const bool mixed_parity = check_parity_mixed(smoke ? 12 : 32);
   std::printf("mixed parity (indirect vs per-request, bitwise): %s\n",
               mixed_parity ? "identical" : "MISMATCH");
-  const int mixed_per_client = smoke ? 12 : 48;
-  const MixedLoopResult msplit =
-      run_closed_loop_mixed(serve::MixedMode::kSplit, clients,
-                            mixed_per_client);
-  const MixedLoopResult mind =
-      run_closed_loop_mixed(serve::MixedMode::kIndirect, clients,
-                            mixed_per_client);
-  const double mixed_speedup = msplit.rps > 0.0 ? mind.rps / msplit.rps : 0.0;
-  std::printf("mixed closed loop, %d clients:\n", clients);
-  std::printf("  split   : %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f   padded %lld\n",
-              msplit.rps, msplit.p50_us, msplit.p99_us, msplit.mean_batch,
-              static_cast<long long>(msplit.padded_slots));
-  std::printf("  indirect: %8.1f req/s   p50 %7.0f us   p99 %7.0f us   "
-              "mean batch %.2f   padded %lld   indirect batches %lld\n",
-              mind.rps, mind.p50_us, mind.p99_us, mind.mean_batch,
-              static_cast<long long>(mind.padded_slots),
-              static_cast<long long>(mind.indirect_batches));
-  std::printf("  wall-clock speedup: %.2fx\n", mixed_speedup);
-
-  // Open loop at fractions of the measured cap-8 capacity.
-  const auto duration = smoke ? 300ms : 1500ms;
-  std::vector<OpenLoopResult> open;
-  for (const double frac : {0.25, 0.5, 0.8}) {
-    const double rate = std::max(20.0, batch8.rps * frac);
-    open.push_back(run_open_loop(rate, duration));
-    const OpenLoopResult& o = open.back();
-    std::printf("open loop %7.1f req/s offered: achieved %7.1f   p50 %7.0f "
-                "us   p99 %7.0f us   rejected %lld   expired %lld\n",
-                o.offered_rps, o.achieved_rps, o.p50_us, o.p99_us,
-                static_cast<long long>(o.rejected),
-                static_cast<long long>(o.expired));
-  }
 
   // Multi-tenant fleet: weighted-fair shares and FIFO-vs-EDF deadline
   // misses under 2x overload.
@@ -835,19 +605,6 @@ int main(int argc, char** argv) {
       std::fprintf(f, "    \"batch1_rps\": %.0f,\n", dev_rps1);
       std::fprintf(f, "    \"batch8_rps\": %.0f,\n", dev_rps8);
       std::fprintf(f, "    \"speedup\": %.3f\n  },\n", dev_speedup);
-      std::fprintf(f, "  \"closed_loop\": {\n");
-      std::fprintf(f, "    \"clients\": %d,\n", clients);
-      std::fprintf(f,
-                   "    \"batch1\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f},\n",
-                   batch1.rps, batch1.p50_us, batch1.p99_us,
-                   batch1.mean_batch);
-      std::fprintf(f,
-                   "    \"batch8\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f},\n",
-                   batch8.rps, batch8.p50_us, batch8.p99_us,
-                   batch8.mean_batch);
-      std::fprintf(f, "    \"speedup\": %.3f\n  },\n", speedup);
       std::fprintf(f, "  \"mixed\": {\n");
       std::fprintf(f, "    \"distribution\": \"8:50%% 6:20%% 10:15%% "
                       "12:10%% 16:5%%\",\n");
@@ -858,25 +615,8 @@ int main(int argc, char** argv) {
                    "%d, \"speedup\": %.3f},\n",
                    mm.split_s * 1e3, mm.split_dispatches, mm.indirect_s * 1e3,
                    mm.indirect_dispatches, mm.speedup);
-      std::fprintf(f, "    \"parity_bit_identical\": %s,\n",
+      std::fprintf(f, "    \"parity_bit_identical\": %s\n  },\n",
                    mixed_parity ? "true" : "false");
-      std::fprintf(f, "    \"closed_loop\": {\n");
-      std::fprintf(f,
-                   "      \"split\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f, \"padded_slots\""
-                   ": %lld},\n",
-                   msplit.rps, msplit.p50_us, msplit.p99_us,
-                   msplit.mean_batch,
-                   static_cast<long long>(msplit.padded_slots));
-      std::fprintf(f,
-                   "      \"indirect\": {\"rps\": %.1f, \"p50_us\": %.1f, "
-                   "\"p99_us\": %.1f, \"mean_batch\": %.2f, \"padded_slots\""
-                   ": %lld, \"indirect_batches\": %lld},\n",
-                   mind.rps, mind.p50_us, mind.p99_us, mind.mean_batch,
-                   static_cast<long long>(mind.padded_slots),
-                   static_cast<long long>(mind.indirect_batches));
-      std::fprintf(f, "      \"speedup\": %.3f\n    }\n  },\n",
-                   mixed_speedup);
       std::fprintf(f, "  \"fleet\": {\n");
       std::fprintf(f, "    \"capacity_rps\": %.1f,\n", ff.capacity_rps);
       std::fprintf(f, "    \"offered_rps\": %.1f,\n", ff.offered_rps);
@@ -914,24 +654,11 @@ int main(int argc, char** argv) {
                      static_cast<long long>(d.tight_shutdown), d.miss_rate(),
                      static_cast<long long>(d.metric_missed));
       }
-      std::fprintf(f, "      \"edf_miss_reduction\": %.3f\n    }\n  },\n",
+      std::fprintf(f, "      \"edf_miss_reduction\": %.3f\n    }\n  }\n",
                    edf.missed() > 0 ? static_cast<double>(fifo.missed()) /
                                           static_cast<double>(edf.missed())
                                     : static_cast<double>(fifo.missed()));
-      std::fprintf(f, "  \"open_loop\": [\n");
-      for (std::size_t i = 0; i < open.size(); ++i) {
-        const OpenLoopResult& o = open[i];
-        std::fprintf(f,
-                     "    {\"offered_rps\": %.1f, \"achieved_rps\": %.1f, "
-                     "\"p50_us\": %.1f, \"p99_us\": %.1f, \"completed\": "
-                     "%lld, \"rejected\": %lld, \"expired\": %lld}%s\n",
-                     o.offered_rps, o.achieved_rps, o.p50_us, o.p99_us,
-                     static_cast<long long>(o.completed),
-                     static_cast<long long>(o.rejected),
-                     static_cast<long long>(o.expired),
-                     i + 1 < open.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n }\n]\n");
+      std::fprintf(f, " }\n]\n");
       std::fclose(f);
     }
   }
@@ -958,42 +685,10 @@ int main(int argc, char** argv) {
                 mm.speedup);
     fail = true;
   }
-  if (mind.padded_slots != 0) {
-    std::printf("FAIL: indirect policy materialized %lld pad slots (must "
-                "be 0)\n",
-                static_cast<long long>(mind.padded_slots));
-    fail = true;
-  }
-  if (!msplit.all_resolved || !mind.all_resolved) {
-    std::printf("FAIL: mixed closed loop leaked unresolved requests\n");
-    fail = true;
-  }
-  // The wall-clock gate needs cores for the batch to fan out over; on a
-  // 1-2 core box per-image compute serializes either way (see file comment).
   const unsigned cores = std::thread::hardware_concurrency();
-  if (!smoke && cores >= 4 && speedup < 2.0) {
-    std::printf("FAIL: wall-clock batching speedup %.2fx below the 2x bound "
-                "(%u cores)\n",
-                speedup, cores);
-    fail = true;
-  } else if (speedup < 2.0) {
-    std::printf("note: wall-clock speedup %.2fx not gated (%s, %u cores)\n",
-                speedup, smoke ? "smoke mode" : "needs >= 4 cores", cores);
-  }
-  if (!smoke && cores >= 4 && mixed_speedup < 3.0) {
-    std::printf("FAIL: wall-clock ragged-batching speedup %.2fx below the "
-                "3x bound (%u cores)\n",
-                mixed_speedup, cores);
-    fail = true;
-  } else if (mixed_speedup < 3.0) {
-    std::printf("note: mixed wall-clock speedup %.2fx not gated (%s, %u "
-                "cores)\n",
-                mixed_speedup, smoke ? "smoke mode" : "needs >= 4 cores",
-                cores);
-  }
   // Fleet gates: accounting always; the scheduling-dynamics gates (share
-  // deviation, FIFO-vs-EDF miss ratio) are wall-clock outcomes and follow
-  // the same full-mode, >= 4 core rule as the other wall-clock gates.
+  // deviation, FIFO-vs-EDF miss ratio) are wall-clock outcomes, enforced in
+  // full mode on >= 4 cores only.
   if (!ff.all_resolved) {
     std::printf("FAIL: fleet fairness run leaked unresolved requests\n");
     fail = true;

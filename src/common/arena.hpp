@@ -17,8 +17,8 @@
 // so a chain holds unused tails; when the next outermost Scope opens on a
 // chain (nothing is live then), the chain is replaced by one block that
 // fits the peak it served, and a repeat of the same requests runs in that
-// block. `max_high_water()` is exported to the metrics registry
-// (`host.arena.high_water_bytes`) so arena pressure is visible in reports.
+// block. `max_high_water()` keeps the process-wide peak in an atomic;
+// the fleet's /statusz page reports it as `arena_high_water_bytes`.
 #pragma once
 
 #include <cstddef>

@@ -406,57 +406,6 @@ ContextScope::~ContextScope() { g_context = prev_; }
 // ---------------------------------------------------------------------------
 // Metrics
 
-void Distribution::record(double v) {
-  std::lock_guard lock(mu_);
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  if (samples_.size() < kMaxSamples) {
-    samples_.push_back(v);
-  } else {
-    // Classic reservoir replacement with a cheap deterministic LCG: every
-    // recorded value keeps a kMaxSamples/count chance of being resident.
-    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    const std::uint64_t j = rng_ % static_cast<std::uint64_t>(count_);
-    if (j < kMaxSamples) samples_[static_cast<std::size_t>(j)] = v;
-  }
-}
-
-Distribution::Summary Distribution::summary() const {
-  std::lock_guard lock(mu_);
-  Summary s;
-  s.count = count_;
-  s.samples = static_cast<std::int64_t>(samples_.size());
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  if (!samples_.empty()) {
-    std::vector<double> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    const auto at = [&](double q) {
-      const auto idx = static_cast<std::size_t>(
-          q * static_cast<double>(sorted.size() - 1));
-      return sorted[idx];
-    };
-    s.p50 = at(0.50);
-    s.p99 = at(0.99);
-  }
-  return s;
-}
-
-void Distribution::reset() {
-  std::lock_guard lock(mu_);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  samples_.clear();
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 
@@ -620,13 +569,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Distribution& MetricsRegistry::distribution(const std::string& name) {
-  std::lock_guard lock(mu_);
-  auto& slot = distributions_[name];
-  if (!slot) slot = std::make_unique<Distribution>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
   std::lock_guard lock(mu_);
   auto& slot = histograms_[name];
@@ -639,9 +581,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, d] : distributions_) {
-    snap.distributions.emplace_back(name, d->summary());
   }
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->snapshot());
@@ -659,20 +598,6 @@ std::string MetricsRegistry::text_report() const {
        << std::right << std::setw(12) << value << '\n';
   }
   os << std::setprecision(6);
-  for (const auto& [name, s] : snap.distributions) {
-    // '~' marks percentiles estimated from a saturated reservoir — a
-    // long-running process exceeds the 2^14-sample reservoir in seconds,
-    // and silently-approximate p50/p99 misled more than they informed.
-    const char* approx = s.degraded() ? "~" : "";
-    os << "dist     " << std::left << std::setw(36) << name << std::right
-       << " count=" << s.count << " sum=" << s.sum << " mean=" << s.mean()
-       << " min=" << s.min << " p50=" << approx << s.p50 << " p99=" << approx
-       << s.p99 << " max=" << s.max;
-    if (s.degraded()) {
-      os << " (~approx: " << s.samples << '/' << s.count << " samples)";
-    }
-    os << '\n';
-  }
   for (const auto& [name, h] : snap.histograms) {
     os << "hist     " << std::left << std::setw(36) << name << std::right
        << " count=" << h.count << " sum=" << h.sum << " mean=" << h.mean()
@@ -833,21 +758,6 @@ std::string MetricsRegistry::prometheus_text() const {
       os << ' ' << value << '\n';
     }
   }
-  for (const auto& [base, series] : prom_families(snap.distributions)) {
-    // Reservoir distributions export as Prometheus summaries; quantiles are
-    // approximate once the reservoir saturates (same caveat as the '~'
-    // marker in the text report).
-    help_line(os, base);
-    os << "# TYPE " << base << " summary\n";
-    for (const auto& [labels, s] : series) {
-      const std::string comma = labels.empty() ? "" : labels + ",";
-      const std::string plain = labels.empty() ? "" : "{" + labels + "}";
-      os << base << '{' << comma << "quantile=\"0.5\"} " << s.p50 << '\n';
-      os << base << '{' << comma << "quantile=\"0.99\"} " << s.p99 << '\n';
-      os << base << "_sum" << plain << ' ' << s.sum << '\n';
-      os << base << "_count" << plain << ' ' << s.count << '\n';
-    }
-  }
   for (const auto& [base, series] : prom_families(snap.histograms)) {
     help_line(os, base);
     os << "# TYPE " << base << " histogram\n";
@@ -878,7 +788,6 @@ std::string MetricsRegistry::prometheus_text() const {
 void MetricsRegistry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, d] : distributions_) d->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 

@@ -15,23 +15,22 @@
 // compiles the IWG_TRACE_SCOPE/IWG_TRACE_SPAN macro sites away entirely.
 //
 // The metrics registry holds named monotonic counters (lock-free atomic
-// adds, safe under parallel_for) and value distributions
-// (count/sum/min/max/p50/p99 over a bounded reservoir). Objects returned by
-// counter()/distribution() have stable addresses for the life of the
-// process, so hot paths cache references. reset() zeroes values but never
-// invalidates those references.
+// adds, safe under parallel_for) and exact lock-free log2-bucket value
+// histograms. Objects returned by counter()/histogram() have stable
+// addresses for the life of the process, so hot paths cache references.
+// reset() zeroes values but never invalidates those references.
 //
 // The tracer also acts as a request-scoped flight recorder: a thread-local
 // trace::Context (trace_id/request_id) is inherited by every span opened
 // while a ContextScope is alive, and chrome_json() emits Perfetto flow
 // events ("s"/"t"/"f") chaining a request's spans across threads — the
-// serving path hands the Context from the client thread through the
-// RequestQueue and Batcher to the worker explicitly, so one request's
-// enqueue → dispatch → complete renders as arrows in the trace viewer.
+// serving path carries the Context in the Request from the client thread
+// through the fleet's tenant queue to the worker explicitly, so one
+// request's enqueue → dispatch → complete renders as arrows in the trace
+// viewer.
 //
-// The metrics registry holds named monotonic counters, reservoir
-// distributions, and exact lock-free log2-bucket histograms, with both a
-// human text report and a Prometheus text exposition.
+// The registry has both a human text report and a Prometheus text
+// exposition.
 //
 // Environment wiring (read once, at first use or via init_from_env()):
 //   IWG_TRACE=trace.json       enable tracing; write Chrome JSON at exit
@@ -218,54 +217,14 @@ class Counter {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Value distribution: exact count/sum/min/max plus p50/p99 over a bounded
-/// reservoir (exact until kMaxSamples values have been recorded; degraded —
-/// approximate — beyond that, which Summary::degraded() makes visible).
-/// Prefer Histogram for hot, unbounded streams (serve latencies, per-conv
-/// metrics): its counts stay exact forever and it merges across processes.
-class Distribution {
- public:
-  struct Summary {
-    std::int64_t count = 0;
-    std::int64_t samples = 0;  ///< resident reservoir size backing p50/p99
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-    double mean() const {
-      return count > 0 ? sum / static_cast<double>(count) : 0.0;
-    }
-    /// Percentiles are estimates once the reservoir saturated (the text
-    /// report marks them with '~').
-    bool degraded() const { return count > samples; }
-  };
-
-  void record(double v);
-  Summary summary() const;
-  void reset();
-
-  static constexpr std::size_t kMaxSamples = 1 << 14;
-
- private:
-  mutable std::mutex mu_;
-  std::int64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::uint64_t rng_ = 0x9e3779b97f4a7c15ULL;  ///< reservoir replacement
-  std::vector<double> samples_;
-};
-
 /// Lock-free fixed-log2-bucket value histogram.
 ///
 /// Bucket i counts values v with 2^(i+kMinExp) <= v < 2^(i+1+kMinExp)
 /// (bucket 0 additionally absorbs everything below its lower edge,
-/// including zero and negatives; the last bucket is open above). Unlike the
-/// reservoir Distribution, counts stay *exact* for the life of the process
-/// — a long-running server never silently degrades its percentiles — and
-/// two snapshots merge by bucket-wise addition, so per-shard histograms
-/// aggregate losslessly. Quantiles come from linear interpolation inside
+/// including zero and negatives; the last bucket is open above). Counts
+/// stay *exact* for the life of the process — a long-running server never
+/// silently degrades its percentiles — and two snapshots merge by
+/// bucket-wise addition, so per-shard histograms aggregate losslessly. Quantiles come from linear interpolation inside
 /// the covering bucket, clamped to the observed [min, max].
 ///
 /// record() is a handful of relaxed atomics (no mutex, no allocation):
@@ -317,31 +276,28 @@ class Histogram {
   std::array<std::atomic<std::int64_t>, kBuckets> buckets_{};
 };
 
-/// Process-wide named metrics. counter()/distribution()/histogram() create
-/// on first use and return references that stay valid for the life of the
-/// process.
+/// Process-wide named metrics. counter()/histogram() create on first use and
+/// return references that stay valid for the life of the process.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);
-  Distribution& distribution(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   struct Snapshot {
     std::vector<std::pair<std::string, std::int64_t>> counters;
-    std::vector<std::pair<std::string, Distribution::Summary>> distributions;
     std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
   };
   Snapshot snapshot() const;  ///< sorted by name
 
-  /// Human-readable report of every counter, distribution, and histogram.
+  /// Human-readable report of every counter and histogram.
   std::string text_report() const;
 
   /// Prometheus text exposition (version 0.0.4): counters as `counter`,
   /// histograms as `histogram` with cumulative `_bucket{le="..."}` lines
-  /// plus `_sum`/`_count`, distributions as `summary` quantiles. Metric
-  /// names are sanitized to [a-zA-Z0-9_:] (dots become underscores).
+  /// plus `_sum`/`_count`. Metric names are sanitized to [a-zA-Z0-9_:]
+  /// (dots become underscores).
   /// Registry names following the `serve.tenant.<id>.<rest>` convention
   /// are exported as ONE family per <rest> with the tenant id as a proper
   /// label — `serve_tenant_<rest>{tenant="<id>"} value` — grouped under a
@@ -370,7 +326,6 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Distribution>> distributions_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::string> help_;         ///< family base → text
   std::map<std::string, std::string> build_info_;  ///< label key → value

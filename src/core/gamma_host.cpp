@@ -339,10 +339,6 @@ TensorF run_plan(const TensorF& x, const ConvShape& s,
     covered += seg.ow_len;
   }
   IWG_CHECK_MSG(covered == ow, "boundary plan does not cover OW");
-  static trace::Distribution& arena_hw =
-      trace::MetricsRegistry::global().distribution(
-          "host.arena.high_water_bytes");
-  arena_hw.record(static_cast<double>(ScratchArena::max_high_water()));
   return y;
 }
 

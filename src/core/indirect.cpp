@@ -168,11 +168,6 @@ void conv2d_gamma_host_indirect(std::span<const ImageView> images,
                                 hk, c.seg->ow_start, local);
     }
   });
-
-  static trace::Distribution& arena_hw =
-      trace::MetricsRegistry::global().distribution(
-          "host.arena.high_water_bytes");
-  arena_hw.record(static_cast<double>(ScratchArena::max_high_water()));
 }
 
 }  // namespace iwg::core

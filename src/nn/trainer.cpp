@@ -13,8 +13,8 @@ TrainStats train_model(Model& model, Optimizer& opt,
                        const data::Dataset* test_set, const TrainConfig& cfg) {
   std::optional<trace::Suppress> mute;
   if (!cfg.trace) mute.emplace();
-  trace::Distribution& epoch_dist =
-      trace::MetricsRegistry::global().distribution("nn.epoch_s");
+  trace::Histogram& epoch_hist =
+      trace::MetricsRegistry::global().histogram("nn.epoch_s");
   TrainStats stats;
   const std::vector<Param*> params = model.params();
   stats.param_bytes = model.param_bytes();
@@ -57,7 +57,7 @@ TrainStats train_model(Model& model, Optimizer& opt,
     }
     const double epoch_s = epoch_timer.seconds();
     stats.epoch_seconds.push_back(epoch_s);
-    epoch_dist.record(epoch_s);
+    epoch_hist.record(epoch_s);
     trace::MetricsRegistry::global().counter("nn.epochs").add();
     stats.train_accuracy =
         static_cast<double>(correct) / static_cast<double>(seen);

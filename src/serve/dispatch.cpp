@@ -1,7 +1,6 @@
 #include "serve/dispatch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <memory>
@@ -16,10 +15,6 @@ namespace iwg::serve {
 
 namespace {
 
-// Hot serve metrics are log2-bucket Histograms, not reservoir Distributions:
-// a loaded server records millions of latencies and the reservoir's
-// percentiles go silently approximate after 2^14 samples. Histogram counts
-// stay exact forever and the snapshots merge.
 trace::Histogram& batch_size_hist() {
   static trace::Histogram& h =
       trace::MetricsRegistry::global().histogram("serve.batch_size");
@@ -65,12 +60,6 @@ trace::Counter& completed_counter() {
 trace::Counter& batches_counter() {
   static trace::Counter& c =
       trace::MetricsRegistry::global().counter("serve.batches");
-  return c;
-}
-
-trace::Counter& padded_counter() {
-  static trace::Counter& c =
-      trace::MetricsRegistry::global().counter("serve.padded_slots");
   return c;
 }
 
@@ -125,14 +114,15 @@ trace::Histogram& shape_classes_hist() {
   return h;
 }
 
-/// The batch's one model dispatch: stage the images (one dense tensor of
-/// `n` slots, or per-image tensors for a ragged batch), run the model and
-/// slice each request's output (leading dim 1) into `outs`. `dispatch` is
-/// stamped after staging, `done` when the model returns.
+/// The batch's one model dispatch: stage the images (one dense tensor, or
+/// per-image tensors for a ragged batch), run the model and slice each
+/// request's output (leading dim 1) into `outs`. `dispatch` is stamped
+/// after staging, `done` when the model returns.
 void dispatch_batch(const nn::Model& model, std::vector<Request>& batch,
-                    bool indirect, std::int64_t n, std::vector<TensorF>& outs,
+                    bool indirect, std::vector<TensorF>& outs,
                     Clock::time_point& dispatch, Clock::time_point& done) {
   const std::size_t k = batch.size();
+  const auto n = static_cast<std::int64_t>(k);
   if (indirect) {
     // Mixed shapes: stage each image as its own N = 1 tensor and run the
     // whole set through ONE ragged dispatch per layer. Outputs come back
@@ -154,7 +144,7 @@ void dispatch_batch(const nn::Model& model, std::vector<Request>& batch,
     const std::int64_t h = first.dim(0);
     const std::int64_t w = first.dim(1);
     const std::int64_t c = first.dim(2);
-    TensorF xb({n, h, w, c});  // zero-initialized
+    TensorF xb({n, h, w, c});
     const std::int64_t image_elems = h * w * c;
     for (std::size_t i = 0; i < k; ++i) {
       // Per-request dispatch span: marks this request joining the
@@ -213,27 +203,12 @@ TenantMetrics& TenantMetrics::of(const std::string& tenant_id) {
   return *it->second;
 }
 
-std::chrono::microseconds resolve_flush_period(
-    std::chrono::microseconds configured) {
-  const char* env = std::getenv("IWG_REPORT_FLUSH_MS");
-  if (env == nullptr || *env == '\0') return configured;
-  char* end = nullptr;
-  const long ms = std::strtol(env, &end, 10);
-  if (end == env || ms < 0) return configured;  // unparsable: keep config
-  return std::chrono::microseconds(static_cast<std::int64_t>(ms) * 1000);
-}
-
 DispatchResult run_model_batch(const nn::Model& model,
                                std::vector<Request>& batch,
                                const DispatchSpec& spec) {
   IWG_CHECK_MSG(!batch.empty(), "run_model_batch needs a nonempty batch");
   const std::size_t k = batch.size();
-  const bool indirect = spec.indirect;
-  const std::int64_t n =
-      !indirect && spec.pad_to > 0
-          ? std::max(spec.pad_to, static_cast<std::int64_t>(k))
-          : static_cast<std::int64_t>(k);
-  const std::int64_t padded = indirect ? 0 : n - static_cast<std::int64_t>(k);
+  const bool indirect = spec.shape_classes > 1;
 
   // The batch span (and everything nested under it — the model's conv
   // spans included) inherits the batch leader's context, so the leader's
@@ -241,7 +216,6 @@ DispatchResult run_model_batch(const nn::Model& model,
   trace::ContextScope lead_scope(batch.front().ctx);
   IWG_TRACE_SPAN(span, "serve.batch", "serve");
   span.arg("batch_size", static_cast<std::int64_t>(k))
-      .arg("padded_slots", padded)
       .arg("mode", indirect ? "indirect" : "dense")
       .arg("shape_classes", static_cast<std::int64_t>(spec.shape_classes));
   if (!spec.tenant.empty()) span.arg("tenant", spec.tenant);
@@ -251,7 +225,7 @@ DispatchResult run_model_batch(const nn::Model& model,
   Clock::time_point dispatch = Clock::now();
   Clock::time_point done;
   const std::optional<std::string> batch_error = run_catching([&] {
-    dispatch_batch(model, batch, indirect, n, outs, dispatch, done);
+    dispatch_batch(model, batch, indirect, outs, dispatch, done);
   });
 
   // A throwing batch is rerun one request at a time as batch-1 dense
@@ -317,7 +291,6 @@ DispatchResult run_model_batch(const nn::Model& model,
   batches_counter().add();
   (indirect ? mode_indirect_counter() : mode_dense_counter()).add();
   shape_classes_hist().record(static_cast<double>(spec.shape_classes));
-  padded_counter().add(padded);
   const std::int64_t completed = static_cast<std::int64_t>(k) - failed;
   completed_counter().add(completed);
   if (tm != nullptr) tm->completed.add(completed);
@@ -325,7 +298,6 @@ DispatchResult run_model_batch(const nn::Model& model,
   DispatchResult res;
   res.completed = completed;
   res.failed = failed;
-  res.padded_slots = padded;
   res.indirect = indirect;
   return res;
 }

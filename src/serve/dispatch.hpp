@@ -1,20 +1,16 @@
-// Shared micro-batch execution for the serving layer.
+// Micro-batch execution for the serving layer.
 //
-// ServingSession (one model, dedicated workers) and FleetScheduler (N
-// tenant models, fleet-level dispatch) assemble batches differently but
-// execute them identically: stage the requests' images, run ONE model
-// dispatch (dense batch tensor or ragged indirect), slice per-request
-// outputs back out, and resolve every promise kOk with queue/latency
-// accounting. A batch whose dispatch throws is rerun one request at a
-// time, so only the requests that still throw resolve kError. run_model_batch is that common core, moved out of
-// ServingSession so the fleet does not duplicate the metrics contract —
-// both paths feed the same serve.* counters and histograms, and batches
-// tagged with a tenant id additionally feed the per-tenant family
-// (serve.tenant.<id>.*, exported with a {tenant="..."} label by
-// MetricsRegistry::prometheus_text()).
+// FleetScheduler assembles a tenant's batch; run_model_batch executes it:
+// stage the requests' images, run ONE model dispatch (a dense batch tensor
+// when every image has one shape, otherwise one ragged indirect dispatch),
+// slice per-request outputs back out, and resolve every promise kOk with
+// queue/latency accounting. A batch whose dispatch throws is rerun one
+// request at a time, so only the requests that still throw resolve kError.
+// Every batch feeds the serve.* counters and histograms, and batches tagged
+// with a tenant id also feed the per-tenant family (serve.tenant.<id>.*,
+// exported with a {tenant="..."} label by MetricsRegistry::prometheus_text()).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,32 +39,20 @@ struct TenantMetrics {
   static TenantMetrics& of(const std::string& tenant_id);
 };
 
-/// The serving loops' report-flush period: `configured` unless
-/// IWG_REPORT_FLUSH_MS is set, which overrides it (0 disables). Both
-/// ServingSession and FleetScheduler resolve their flush_period through
-/// this, so a deployed binary's flush cadence is tunable without a rebuild.
-std::chrono::microseconds resolve_flush_period(
-    std::chrono::microseconds configured);
-
 /// How run_model_batch executes one assembled micro-batch.
 struct DispatchSpec {
-  /// Mixed shapes: route through Model::infer_ragged (one indirect Γ
-  /// dispatch per conv layer). False: one dense batch tensor.
-  bool indirect = false;
-  /// Dense only: zero-pad the batch tensor up to this leading dimension so
-  /// dispatch geometry matches pre-tuned plans (0 → dispatch at true size).
-  std::int64_t pad_to = 0;
-  /// Distinct H×W×C shapes among the requests (trace/metrics annotation).
+  /// Distinct H×W×C shapes among the requests. More than one routes the
+  /// batch through Model::infer_ragged (one indirect Γ dispatch per conv
+  /// layer); one stages a dense batch tensor.
   int shape_classes = 1;
   /// When nonempty, also record serve.tenant.<id>.* for this batch.
   std::string tenant;
 };
 
 struct DispatchResult {
-  std::int64_t completed = 0;     ///< requests resolved kOk
-  std::int64_t failed = 0;        ///< requests resolved kError
-  std::int64_t padded_slots = 0;  ///< zero slots added to the dense tensor
-  bool indirect = false;          ///< executed as a ragged dispatch
+  std::int64_t completed = 0;  ///< requests resolved kOk
+  std::int64_t failed = 0;     ///< requests resolved kError
+  bool indirect = false;       ///< executed as a ragged dispatch
 };
 
 /// Execute one nonempty micro-batch through `model` and resolve every

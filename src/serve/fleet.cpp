@@ -1,6 +1,7 @@
 #include "serve/fleet.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <locale>
 #include <sstream>
@@ -15,6 +16,9 @@
 namespace iwg::serve {
 
 namespace {
+
+/// Scratch capacity an idle worker leaves in each arena when it trims.
+constexpr std::size_t kIdleTrimBytes = 64 * 1024;
 
 trace::Counter& enqueued_counter() {
   static trace::Counter& c =
@@ -40,6 +44,19 @@ trace::Histogram& depth_hist() {
   return h;
 }
 
+/// The report-flush period: `configured` unless IWG_REPORT_FLUSH_MS is set,
+/// which overrides it (0 disables), so a deployed binary's flush cadence is
+/// tunable without a rebuild.
+std::chrono::microseconds resolve_flush_period(
+    std::chrono::microseconds configured) {
+  const char* env = std::getenv("IWG_REPORT_FLUSH_MS");
+  if (env == nullptr || *env == '\0') return configured;
+  char* end = nullptr;
+  const long ms = std::strtol(env, &end, 10);
+  if (end == env || ms < 0) return configured;  // unparsable: keep config
+  return std::chrono::microseconds(static_cast<std::int64_t>(ms) * 1000);
+}
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              Clock::now().time_since_epoch())
@@ -47,8 +64,7 @@ std::int64_t steady_now_us() {
 }
 
 /// Resolve one request on a terminal non-kOk path (reject, shed, shutdown),
-/// emitting the terminal span into its flow chain — the fleet's counterpart
-/// of RequestQueue's admission resolve.
+/// emitting the terminal span into its flow chain.
 void resolve_now(Request& r, Status status, const char* reason) {
   trace::ContextScope ctx_scope(r.ctx);
   IWG_TRACE_SPAN(span, "serve.reject", "serve");
@@ -98,10 +114,10 @@ void FleetScheduler::add_tenant(nn::Model model, TenantConfig cfg) {
     IWG_CHECK_MSG(states_.find(cfg.id) == states_.end(),
                   "tenant already registered: " + cfg.id);
   }
-  // Warm outside the fleet lock (pretune/prewarm run real inference), then
+  // Warm outside the fleet lock (the prewarm runs real inference), then
   // publish; the registry rejects duplicate ids racing past the check.
   ModelRegistry::TenantPtr t =
-      registry_.register_model(std::move(model), std::move(cfg), cfg_.warmup);
+      registry_.register_model(std::move(model), std::move(cfg));
   std::lock_guard lock(mu_);
   states_.emplace(t->cfg.id, std::make_shared<TenantState>(t));
 }
@@ -124,9 +140,9 @@ std::future<Response> FleetScheduler::submit_impl(
   r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   r.input = std::move(image);
   r.enqueue_time = Clock::now();
-  // Mint the flight-recorder identity here, exactly as ServingSession does:
-  // the enqueue span runs on the client thread and the Request carries the
-  // context to whichever worker dispatches/completes it.
+  // Mint the flight-recorder identity here: the enqueue span runs on the
+  // client thread and the Request carries the context to whichever worker
+  // dispatches/completes it.
   r.ctx.trace_id = trace::new_trace_id();
   r.ctx.request_id = r.id;
   trace::ContextScope ctx_scope(r.ctx);
@@ -284,9 +300,7 @@ FleetScheduler::WorkItem FleetScheduler::next_batch() {
 
 void FleetScheduler::run_batch(WorkItem& item) {
   DispatchSpec spec;
-  spec.indirect = item.shape_classes > 1;
   spec.shape_classes = item.shape_classes;
-  spec.pad_to = 0;  // the fleet never pads; short batches dispatch as-is
   spec.tenant = item.st->tenant->cfg.id;
   DispatchResult res;
   {
@@ -318,13 +332,12 @@ void FleetScheduler::worker_loop(unsigned worker_idx) {
     if (hb != nullptr) hb->beat();
     if (item.exit) return;
     if (item.st == nullptr) {
-      // Idle housekeeping, as in ServingSession: return scratch peaks to
-      // the allocator and keep reports fresh.
-      if (cfg_.idle_trim_bytes >= 0) {
-        const auto keep = static_cast<std::size_t>(cfg_.idle_trim_bytes);
-        ScratchArena::local().trim(keep);
-        ScratchArena::trim_all(keep);
-      }
+      // Idle housekeeping: return scratch peaks to the allocator — this
+      // worker's arena directly, everyone else's via the trim epoch — so a
+      // single outsized request doesn't pin peak memory for the process
+      // lifetime, and keep reports fresh.
+      ScratchArena::local().trim(kIdleTrimBytes);
+      ScratchArena::trim_all(kIdleTrimBytes);
       maybe_flush();
       continue;
     }

@@ -1,9 +1,9 @@
-// FleetScheduler: multi-tenant serving over one shared worker pool.
+// FleetScheduler: the serving path — N tenant models over one shared
+// worker pool. A single-model deployment is a fleet of one tenant.
 //
-// The single-ServingSession design scales one model; the fleet scales N.
 // A ModelRegistry owns the tenant table (model + weight version + priority
-// weight + rate limit + default SLO deadline) and the scheduler replaces
-// per-session worker loops with fleet-level dispatch:
+// weight + rate limit + default SLO deadline) and the scheduler dispatches
+// across it:
 //
 //   submit(tenant, image)
 //     ─▶ token-bucket admission (kRejected "rate limited" / "queue full")
@@ -34,8 +34,10 @@
 //
 // A tenant's batch is "dispatchable" when it has max_batch requests queued,
 // its oldest pending request has waited max_wait, or the tenant is closed
-// (draining). Mixed-shape batches ship as one ragged dispatch, exactly as
-// in ServingSession — the fleet never pads.
+// (draining). The batch is the queue's first max_batch requests in order:
+// one shape ships as a dense batch tensor, more than one as ONE ragged
+// indirect dispatch (run_model_batch). Short batches dispatch at their
+// true size; nothing is padded.
 //
 // Hot swap: ModelRegistry::swap_weights runs under the tenant's exclusive
 // swap lock while dispatch holds it shared — in-flight batches finish on
@@ -83,17 +85,12 @@ struct FleetConfig {
   /// arrivals, measured from when its queue last became nonempty.
   std::chrono::microseconds max_wait{2000};
   /// How long an idle worker parks before running idle-time housekeeping
-  /// (arena trim, report flush).
+  /// (arena trim to 64 KiB, report flush).
   std::chrono::microseconds idle_wait{50000};
   TenantOrder order = TenantOrder::kEdf;
-  /// Applied to every add_tenant registration (prewarm / pretune / plan DB).
-  WarmupOptions warmup;
-  /// Idle workers trim scratch arenas down to this retained capacity;
-  /// negative → never trim.
-  std::int64_t idle_trim_bytes = 64 * 1024;
   /// Period for trace/metrics report flushes from the serving loop;
-  /// zero → no periodic flush. IWG_REPORT_FLUSH_MS overrides at
-  /// construction (see serve::resolve_flush_period).
+  /// zero → no periodic flush. IWG_REPORT_FLUSH_MS (milliseconds; 0
+  /// disables) overrides it at construction.
   std::chrono::microseconds flush_period{0};
   /// When set, each fleet worker registers a named heartbeat here and beats
   /// it once per dispatch-loop iteration — what obs::AdminServer's /healthz
@@ -111,15 +108,15 @@ class FleetScheduler {
   FleetScheduler(const FleetScheduler&) = delete;
   FleetScheduler& operator=(const FleetScheduler&) = delete;
 
-  /// Register a tenant model (warmed per config().warmup before it becomes
-  /// routable) and start serving it. Throws on duplicate/empty id or after
-  /// stop().
+  /// Register a tenant model (warmed with one max_batch batch before it
+  /// becomes routable) and start serving it. Throws on duplicate/empty id or
+  /// after stop().
   void add_tenant(nn::Model model, TenantConfig cfg);
 
   /// Deregister a tenant. Admission closes immediately; drain=true serves
   /// the backlog first, drain=false resolves it kShutdown ("tenant
-  /// deregistered"). Either way every queued + parked future resolves and
-  /// in-flight batches finish (zero drops). Returns false for unknown ids.
+  /// deregistered"). Either way every queued future resolves and in-flight
+  /// batches finish (zero drops). Returns false for unknown ids.
   bool remove_tenant(const std::string& id, bool drain = true);
 
   /// Submit one H×W×C image for `tenant` (default overload applies the
@@ -215,7 +212,7 @@ class FleetScheduler {
   WorkItem next_batch();
   void run_batch(WorkItem& item);
   /// Resolve kExpired for every queued request past its deadline (holding
-  /// the fleet mutex — same discipline as the Batcher's parking lot).
+  /// the fleet mutex).
   void shed_expired_locked(Clock::time_point now);
   void maybe_flush();
   static void accumulate(TenantStats& into, const TenantState& st);

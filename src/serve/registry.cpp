@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/trace.hpp"
-#include "core/plan_cache.hpp"
 #include "nn/serialize.hpp"
 
 namespace iwg::serve {
@@ -47,27 +46,8 @@ std::uint64_t ModelRegistry::Tenant::min_param_version() {
   return v == std::numeric_limits<std::uint64_t>::max() ? 0 : v;
 }
 
-void ModelRegistry::warm(Tenant& t, const WarmupOptions& w) {
-  IWG_TRACE_SCOPE("serve.register_warm", "serve");
-  if (!w.plan_db.empty()) core::PlanCache::global().load(w.plan_db);
-  if (w.pretune_plans) {
-    IWG_CHECK_MSG(w.device != nullptr, "pretune_plans needs a device");
-    IWG_CHECK_MSG(t.cfg.image_h == t.cfg.image_w,
-                  "pretune propagates one spatial size (square images only)");
-    nn::AutotuneContext ctx;
-    ctx.dev = w.device;
-    t.model.pretune(static_cast<std::int64_t>(t.cfg.max_batch), t.cfg.image_h,
-                    t.cfg.channels, ctx);
-  }
-  if (w.prewarm) {
-    TensorF x({static_cast<std::int64_t>(t.cfg.max_batch), t.cfg.image_h,
-               t.cfg.image_w, t.cfg.channels});
-    (void)t.model.infer(x);
-  }
-}
-
-ModelRegistry::TenantPtr ModelRegistry::register_model(
-    nn::Model model, TenantConfig cfg, const WarmupOptions& warm_opts) {
+ModelRegistry::TenantPtr ModelRegistry::register_model(nn::Model model,
+                                                       TenantConfig cfg) {
   IWG_CHECK_MSG(!cfg.id.empty(), "tenant id must be nonempty");
   // The Prometheus exposition parses serve.tenant.<id>.<rest> back apart at
   // the first dot after the prefix — a dotted id would split wrong.
@@ -76,9 +56,14 @@ ModelRegistry::TenantPtr ModelRegistry::register_model(
   IWG_CHECK_MSG(cfg.weight > 0.0, "tenant weight must be > 0");
   IWG_CHECK(cfg.max_batch >= 1);
   auto t = std::make_shared<Tenant>(std::move(cfg), std::move(model));
-  // Warm before the tenant is findable: a replica never takes traffic cold,
-  // and a failed warm (bad plan DB, bad geometry) never half-registers.
-  warm(*t, warm_opts);
+  {
+    // Warm before the tenant is findable: a replica never takes traffic
+    // cold, and a failed warm (bad geometry) never half-registers.
+    IWG_TRACE_SCOPE("serve.register_warm", "serve");
+    TensorF x({static_cast<std::int64_t>(t->cfg.max_batch), t->cfg.image_h,
+               t->cfg.image_w, t->cfg.channels});
+    (void)t->model.infer(x);
+  }
   std::lock_guard lock(mu_);
   const auto [it, inserted] = tenants_.emplace(t->cfg.id, t);
   (void)it;
@@ -111,8 +96,7 @@ std::size_t ModelRegistry::size() const {
 }
 
 std::uint64_t ModelRegistry::swap_weights(const std::string& id,
-                                          const std::string& path,
-                                          bool prewarm_after) {
+                                          const std::string& path) {
   TenantPtr t = find(id);
   IWG_CHECK_MSG(t != nullptr, "swap_weights: unknown tenant: " + id);
   {
@@ -125,7 +109,7 @@ std::uint64_t ModelRegistry::swap_weights(const std::string& id,
     nn::load_weights(t->model, path);
     t->weight_epoch.fetch_add(1, std::memory_order_release);
   }
-  if (prewarm_after) {
+  {
     // Shared lock: concurrent with traffic (which also computes the new ĝ
     // on demand); this just front-loads the transform cost off the first
     // post-swap request's critical path.

@@ -2,12 +2,10 @@
 // scheduling identity (priority weight, token-bucket rate limit, default
 // SLO deadline, expected image geometry) and a hot-swap lock.
 //
-// Registration warms a replica BEFORE it becomes findable: an optional plan
-// DB is merged into the PlanCache (the "find once, deploy many" flow),
-// Model::pretune resolves every unit-stride conv's plan chain for the
-// tenant's batch geometry, and one throwaway batch populates the
-// FilterTransformCache — so the first real request a tenant serves pays
-// neither tuning nor transform latency.
+// Registration warms a replica BEFORE it becomes findable: one throwaway
+// max_batch batch at the tenant's image geometry populates the
+// FilterTransformCache and sizes the scratch arenas, so the first real
+// request a tenant serves pays no transform latency.
 //
 // Hot weight swap — the swap-without-drop protocol:
 //
@@ -23,9 +21,9 @@
 // swap batch misses, computes the new ĝ, and the miss path drops the stale
 // versions of the same weights. Batches that were in flight during step 1
 // already finished on the old transforms — no request is ever dropped or
-// served a torn weight state. An optional post-swap prewarm (under a shared
-// lock, concurrent with traffic) re-populates the transform cache so the
-// first real request doesn't pay the α·FH·IC·OC transforms either.
+// served a torn weight state. A post-swap prewarm (under a shared lock,
+// concurrent with traffic) re-populates the transform cache so the first
+// real request doesn't pay the α·FH·IC·OC transforms either.
 #pragma once
 
 #include <atomic>
@@ -40,10 +38,6 @@
 
 #include "nn/model.hpp"
 #include "serve/request.hpp"
-
-namespace iwg::sim {
-struct DeviceProfile;
-}
 
 namespace iwg::serve {
 
@@ -84,27 +78,13 @@ struct TenantConfig {
   TokenBucketConfig rate;  ///< admission rate limit (default: unlimited)
   /// Deadline applied by submit() when the caller gives none; 0 → none.
   std::chrono::microseconds default_deadline{0};
-  /// Expected image geometry (pre-tune/pre-warm target; other shapes are
-  /// still served via the ragged path).
+  /// Expected image geometry (the prewarm target; other shapes are still
+  /// served via the ragged path).
   std::int64_t image_h = 16;
   std::int64_t image_w = 16;
   std::int64_t channels = 3;
   std::size_t queue_capacity = 256;  ///< per-tenant pending bound
   std::size_t max_batch = 8;         ///< micro-batch cap for this tenant
-};
-
-/// What register_model does before the tenant takes traffic.
-struct WarmupOptions {
-  /// One throwaway batch to populate the FilterTransformCache and size the
-  /// scratch arenas.
-  bool prewarm = true;
-  /// Resolve conv plans for the tenant's batch geometry at registration
-  /// (needs `device`; square images only).
-  bool pretune_plans = false;
-  const sim::DeviceProfile* device = nullptr;
-  /// Optional plan DB merged into PlanCache::global() first, so pretune
-  /// resolves from tuned entries instead of re-searching.
-  std::string plan_db;
 };
 
 class ModelRegistry {
@@ -132,11 +112,10 @@ class ModelRegistry {
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Register a named model. Warming runs BEFORE the tenant becomes
-  /// findable, so a replica never takes traffic cold. Throws on empty or
-  /// duplicate id, or weight <= 0.
-  TenantPtr register_model(nn::Model model, TenantConfig cfg,
-                           const WarmupOptions& warm = {});
+  /// Register a named model. The prewarm batch runs BEFORE the tenant
+  /// becomes findable, so a replica never takes traffic cold. Throws on
+  /// empty or duplicate id, or weight <= 0.
+  TenantPtr register_model(nn::Model model, TenantConfig cfg);
 
   /// Remove a tenant from the table. Callers holding a TenantPtr (an
   /// in-flight batch) keep the model alive until they drop it. Returns
@@ -148,18 +127,15 @@ class ModelRegistry {
   std::size_t size() const;
 
   /// Hot weight swap (see file comment). Loads weights from `path` under
-  /// the tenant's exclusive swap lock, bumps weight_epoch, then (by
-  /// default) prewarms the transform cache under a shared lock. Returns the
-  /// model's new min Param::version. Throws on unknown tenant or a
+  /// the tenant's exclusive swap lock, bumps weight_epoch, then prewarms
+  /// the transform cache under a shared lock. Returns the model's new min
+  /// Param::version. Throws on unknown tenant or a
   /// mismatched weight file; a mid-file mismatch can leave earlier params
   /// loaded, but each written param's version was bumped (no stale ĝ) and
   /// the exclusive lock was held throughout (no torn batch observed it).
-  std::uint64_t swap_weights(const std::string& id, const std::string& path,
-                             bool prewarm_after = true);
+  std::uint64_t swap_weights(const std::string& id, const std::string& path);
 
  private:
-  static void warm(Tenant& t, const WarmupOptions& w);
-
   mutable std::mutex mu_;
   std::map<std::string, TenantPtr> tenants_;
 };

@@ -48,7 +48,7 @@ enum class Status : std::uint8_t {
   kOk,        ///< served; `output` holds the model output for this image
   kRejected,  ///< admission control refused it (queue full)
   kExpired,   ///< deadline passed before dispatch; shed without running
-  kShutdown,  ///< session stopped before it could run
+  kShutdown,  ///< fleet stopped or tenant removed before it could run
   kError,     ///< the model threw on this request; `reason` has the text
 };
 
@@ -82,14 +82,14 @@ struct Request {
   Clock::time_point enqueue_time;
   /// Flight-recorder identity, minted at submit. The request object is the
   /// explicit hand-off across threads: whichever thread touches the request
-  /// next (batcher shed, worker dispatch/complete) restores this context via
+  /// next (expiry shed, worker dispatch/complete) restores this context via
   /// trace::ContextScope so its spans join the request's flow chain.
   trace::Context ctx;
   std::promise<Response> promise;
 };
 
-/// Two requests can share a micro-batch only when their images agree on
-/// every dimension (the batcher splits the queue on the first mismatch).
+/// Whether two images agree on every dimension (same shape class); a batch
+/// whose images span more than one class ships as a ragged dispatch.
 inline bool same_image_shape(const TensorF& a, const TensorF& b) {
   return a.same_shape(b);
 }

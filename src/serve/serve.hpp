@@ -2,26 +2,19 @@
 //
 //   #include "serve/serve.hpp"
 //
-// One model:
-//   iwg::serve::SessionConfig cfg;            // geometry + policy knobs
-//   iwg::serve::ServingSession session(std::move(model), cfg);
-//   auto fut = session.submit(image);         // H×W×C, returns a future
-//   iwg::serve::Response r = fut.get();       // always resolves
-//
-// A fleet of tenant models over one worker pool:
-//   iwg::serve::FleetScheduler fleet(fleet_cfg);
+// Every caller serves through a FleetScheduler; one model is a fleet of one
+// tenant:
+//   iwg::serve::FleetScheduler fleet(fleet_cfg);      // worker pool
 //   fleet.add_tenant(std::move(model), tenant_cfg);   // warmed, then live
-//   auto fut = fleet.submit("tenant-id", image);
+//   auto fut = fleet.submit("tenant-id", image);      // H×W×C → future
+//   iwg::serve::Response r = fut.get();               // always resolves
 //   fleet.swap_weights("tenant-id", "new.iwgw");      // zero-drop hot swap
 //
-// See session.hpp (single-model architecture) and fleet.hpp (weighted-fair
-// / EDF scheduling, hot-swap protocol) for the overviews.
+// See fleet.hpp (weighted-fair / EDF scheduling, batch rule) and
+// registry.hpp (warm-up and hot-swap protocol) for the overviews.
 #pragma once
 
-#include "serve/batcher.hpp"      // IWYU pragma: export
 #include "serve/dispatch.hpp"     // IWYU pragma: export
 #include "serve/fleet.hpp"        // IWYU pragma: export
 #include "serve/registry.hpp"     // IWYU pragma: export
 #include "serve/request.hpp"      // IWYU pragma: export
-#include "serve/request_queue.hpp"  // IWYU pragma: export
-#include "serve/session.hpp"      // IWYU pragma: export

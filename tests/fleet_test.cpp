@@ -1,11 +1,16 @@
-// Fleet-subsystem tests: token-bucket admission, ModelRegistry lifecycle,
-// hot weight swap under live traffic (zero drops, monotone versions, no
-// stale filter transforms), weighted-fair dequeue shares, EDF-vs-FIFO
-// intra-tenant ordering, deregistration mid-traffic (every-future-resolves
-// extended to remove_tenant), and batched-vs-single-request bit parity
-// through the fleet dispatch path.
+// Serving tests, all through FleetScheduler: token-bucket admission,
+// ModelRegistry lifecycle, single-model serving on a one-tenant fleet
+// (queue admission, the batch rule — max_wait hold, full batches shipping
+// at once, expiry shedding, dense vs ragged dispatch — and stop with and
+// without drain), hot weight swap under live traffic (zero drops,
+// monotone versions, no stale filter transforms),
+// weighted-fair dequeue shares, EDF-vs-FIFO intra-tenant ordering,
+// deregistration mid-traffic (every-future-resolves extended to
+// remove_tenant), and batched-vs-single-request bit parity through the
+// fleet dispatch path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -30,7 +35,7 @@ namespace {
 using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------------------
-// Helpers (mirroring serve_test.cpp)
+// Helpers
 
 /// Tiny conv net with a classifier head; same seed → identical weights.
 /// Fixed 8×8×3 input (Flatten + Linear head).
@@ -455,7 +460,6 @@ QueueOrder queue_order_probe(TenantOrder order) {
   fc.max_wait = 0us;
   fc.idle_wait = 5ms;
   fc.order = order;
-  fc.warmup.prewarm = false;
   FleetScheduler fleet(fc);
   auto gate_owner = std::make_unique<GateLayer>();
   const GateLayer* gate = gate_owner.get();
@@ -496,7 +500,12 @@ QueueOrder queue_order_probe(TenantOrder order) {
 
   QueueOrder out;
   const std::vector<float> seen = gate->seen();
-  out.dispatched.assign(seen.begin() + 1, seen.end());  // drop the holder
+  // seen[0] is the registration prewarm (one zero image), seen[1] the
+  // holder.
+  EXPECT_GE(seen.size(), 2u);
+  EXPECT_EQ(seen.front(), 0.0f);
+  out.dispatched.assign(seen.begin() + std::min<std::size_t>(2, seen.size()),
+                        seen.end());
   for (const trace::Event& e : trace::Tracer::global().events()) {
     if (e.name != "serve.reject") continue;
     for (const trace::Arg& a : e.args) {
@@ -528,6 +537,396 @@ TEST(FleetScheduler, FifoQueueShedsEveryExpiredRequestInArrivalOrder) {
   const QueueOrder q = queue_order_probe(TenantOrder::kFifo);
   EXPECT_EQ(q.shed, (std::vector<float>{3, 5, 6}));
   EXPECT_EQ(q.dispatched, (std::vector<float>{1, 2, 4, 7, 8, 9}));
+}
+
+// ---------------------------------------------------------------------------
+// Single-model serving: one tenant on one worker, the way a one-model
+// deployment runs. RequestQueue covers admission into the tenant's queue,
+// Batcher the batch rule (max_wait hold, full batches, expiry shedding,
+// closing), and ServingSession the request path end to end (bit parity,
+// dense vs ragged dispatch, deadlines, stop with and without drain).
+
+FleetConfig single_model_fleet(std::chrono::microseconds max_wait) {
+  FleetConfig fc;
+  fc.workers = 1;
+  fc.max_wait = max_wait;
+  fc.idle_wait = 5ms;
+  return fc;
+}
+
+TenantConfig single_model(std::size_t max_batch,
+                          std::size_t queue_capacity = 64) {
+  TenantConfig cfg = tenant_cfg("m");
+  cfg.max_batch = max_batch;
+  cfg.queue_capacity = queue_capacity;
+  return cfg;
+}
+
+/// A model that is only a GateLayer; *gate is left pointing at it.
+nn::Model gate_model(GateLayer** gate) {
+  auto owner = std::make_unique<GateLayer>();
+  *gate = owner.get();
+  nn::Model m;
+  m.add(std::move(owner));
+  return m;
+}
+
+TEST(RequestQueue, RejectsWhenFullWithReason) {
+  // max_batch 8 never fills and the 10 s hold never lapses, so both
+  // admitted requests are still queued when stop sheds them.
+  FleetScheduler fleet(single_model_fleet(10s));
+  fleet.add_tenant(make_tiny_fcn(),
+                   single_model(/*max_batch=*/8, /*queue_capacity=*/2));
+  Rng rng(20);
+  auto f1 = fleet.submit("m", random_image(rng));
+  auto f2 = fleet.submit("m", random_image(rng));
+  auto f3 = fleet.submit("m", random_image(rng));
+  // The rejected promise resolves at admission, with a reason.
+  ASSERT_EQ(f3.wait_for(0s), std::future_status::ready);
+  const Response r3 = f3.get();
+  EXPECT_EQ(r3.status, Status::kRejected);
+  EXPECT_EQ(r3.reason, "queue full");
+  EXPECT_EQ(fleet.queue_depth("m"), 2u);
+  fleet.stop(/*drain=*/false);
+  EXPECT_EQ(f1.get().status, Status::kShutdown);
+  EXPECT_EQ(f2.get().status, Status::kShutdown);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.accepted, 2);
+  EXPECT_EQ(s.rejected, 1);
+  EXPECT_EQ(s.shed, 2);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(RequestQueue, ClosedQueueResolvesShutdown) {
+  // A draining stop closes the queue while a held batch keeps its backlog
+  // in place: a submit then resolves kShutdown at admission, and the
+  // request queued before the close is still served.
+  FleetScheduler fleet(single_model_fleet(0us));
+  GateLayer* gate = nullptr;
+  fleet.add_tenant(gate_model(&gate), single_model(/*max_batch=*/1));
+  auto holder = fleet.submit("m", tagged_image(GateLayer::kHold));
+  gate->wait_held();
+  auto queued = fleet.submit("m", tagged_image(1.0f));
+  std::thread stopper([&] { fleet.stop(/*drain=*/true); });
+  while (fleet.ready()) std::this_thread::yield();  // the queue is closed
+  auto late = fleet.submit("m", tagged_image(2.0f));
+  // Resolved at admission, while the backlog is still queued.
+  EXPECT_EQ(late.wait_for(0s), std::future_status::ready);
+  EXPECT_EQ(fleet.queue_depth("m"), 1u);
+  gate->release();
+  stopper.join();
+  const Response r = late.get();
+  EXPECT_EQ(r.status, Status::kShutdown);
+  EXPECT_EQ(r.reason, "tenant closed");
+  EXPECT_EQ(holder.get().status, Status::kOk);
+  EXPECT_EQ(queued.get().status, Status::kOk);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.accepted, 2);
+  EXPECT_EQ(s.rejected, 1);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(Batcher, SingleRequestShipsAfterMaxWait) {
+  FleetConfig fc = single_model_fleet(20ms);
+  fc.idle_wait = 2s;  // a hang here would mean max_wait never fired
+  FleetScheduler fleet(fc);
+  fleet.add_tenant(make_tiny_fcn(), single_model(/*max_batch=*/4));
+  Rng rng(16);
+  const auto t0 = Clock::now();
+  const Response r = fleet.submit("m", random_image(rng)).get();
+  const auto elapsed = Clock::now() - t0;
+  ASSERT_EQ(r.status, Status::kOk) << r.reason;
+  EXPECT_EQ(r.batch_size, 1);
+  // Not before max_wait: the hold is measured from the enqueue stamp.
+  EXPECT_GE(r.queue_us, 20000.0);
+  EXPECT_LT(elapsed, 1s);  // not via the idle timeout either
+  fleet.stop();
+}
+
+TEST(Batcher, FillsToMaxBatchWithoutWaitingFullWindow) {
+  FleetScheduler fleet(single_model_fleet(5s));  // a full wait times out
+  fleet.add_tenant(make_tiny_fcn(), single_model(/*max_batch=*/3));
+  Rng rng(17);
+  const auto t0 = Clock::now();
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 3; ++i) futs.push_back(fleet.submit("m", random_image(rng)));
+  for (auto& f : futs) {
+    const Response r = f.get();
+    ASSERT_EQ(r.status, Status::kOk) << r.reason;
+    EXPECT_EQ(r.batch_size, 3);
+  }
+  EXPECT_LT(Clock::now() - t0, 2s);  // shipped well before max_wait
+  fleet.stop();
+  EXPECT_EQ(fleet.stats().total.batches, 1);
+}
+
+TEST(Batcher, ShedsExpiredDeadlinesBeforeDispatch) {
+  // A deadline that lapses while queued behind a held batch resolves
+  // kExpired and takes no slot in the next batch.
+  FleetScheduler fleet(single_model_fleet(0us));
+  GateLayer* gate = nullptr;
+  fleet.add_tenant(gate_model(&gate), single_model(/*max_batch=*/2));
+  auto holder = fleet.submit("m", tagged_image(GateLayer::kHold));
+  gate->wait_held();
+  const Deadline soon = Deadline::after(1ms);
+  auto dead = fleet.submit("m", tagged_image(1.0f), soon);
+  auto live = fleet.submit("m", tagged_image(2.0f));
+  while (!soon.expired()) std::this_thread::sleep_for(1ms);
+  gate->release();
+  EXPECT_EQ(holder.get().status, Status::kOk);
+  const Response dr = dead.get();
+  EXPECT_EQ(dr.status, Status::kExpired);
+  EXPECT_GT(dr.latency_us, 0.0);
+  const Response lr = live.get();
+  ASSERT_EQ(lr.status, Status::kOk) << lr.reason;
+  EXPECT_EQ(lr.batch_size, 1);
+  fleet.stop();
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.expired, 1);
+  EXPECT_EQ(s.batches, 2);  // the holder's and the live request's
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(Batcher, ClosedEmptyQueueReportsClosed) {
+  // Closing an empty queue lets the parked worker leave at once: stop
+  // returns without sitting out idle_wait, and no batch ever ran.
+  FleetConfig fc = single_model_fleet(2ms);
+  fc.idle_wait = 5s;  // a worker that missed the close would park this long
+  FleetScheduler fleet(fc);
+  fleet.add_tenant(make_tiny_fcn(), single_model(/*max_batch=*/4));
+  const auto t0 = Clock::now();
+  fleet.stop();
+  EXPECT_LT(Clock::now() - t0, 2s);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.accepted, 0);
+  EXPECT_EQ(s.batches, 0);
+}
+
+TEST(ServingSession, BatchedOutputsBitIdenticalToPerRequestForward) {
+  const nn::Model reference = make_tiny_classifier(7);
+  FleetScheduler fleet(single_model_fleet(2ms));
+  fleet.add_tenant(make_tiny_classifier(7), single_model(/*max_batch=*/4));
+
+  Rng rng(123);
+  std::vector<TensorF> images;
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 20; ++i) images.push_back(random_image(rng));
+  for (const TensorF& img : images) futs.push_back(fleet.submit("m", img));
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const Response r = futs[i].get();
+    ASSERT_EQ(r.status, Status::kOk) << r.reason;
+    EXPECT_GT(r.batch_size, 0);
+    EXPECT_GT(r.latency_us, 0.0);
+    EXPECT_TRUE(bits_equal(r.output, infer_single(reference, images[i])))
+        << "request " << i;
+  }
+  fleet.stop();
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.completed, 20);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+struct BatchRuleRun {
+  FleetScheduler::Stats stats;
+  int mismatches = 0;  ///< outputs that differ from batch-1 infer
+};
+
+/// Holds the single worker on a GateLayer, queues one image per entry of
+/// `sizes` (hw × hw × 3) behind it, then releases it, so the backlog ships
+/// in max_batch (4) chunks. The tenant model is the gate followed by
+/// make_tiny_fcn()'s conv, so every output is compared with batch-1 infer
+/// on make_tiny_fcn().
+BatchRuleRun batch_rule_probe(const std::vector<std::int64_t>& sizes) {
+  FleetScheduler fleet(single_model_fleet(0us));  // the holder ships at once
+  GateLayer* gate = nullptr;
+  nn::Model m = gate_model(&gate);
+  {
+    Rng rng(11);  // make_tiny_fcn(11)'s conv weights
+    m.add(std::make_unique<nn::Conv2D>(3, 4, 3, 1, 1,
+                                       nn::ConvEngine::kWinograd, rng, "c1"));
+    m.add(std::make_unique<nn::LeakyReLU>());
+  }
+  fleet.add_tenant(std::move(m), single_model(/*max_batch=*/4));
+  const nn::Model reference = make_tiny_fcn(11);
+
+  TensorF hold({8, 8, 3});
+  hold.fill(GateLayer::kHold);
+  auto holder = fleet.submit("m", std::move(hold));
+  gate->wait_held();
+  Rng rng(18);
+  std::vector<TensorF> images;
+  std::vector<std::future<Response>> futs;
+  for (const std::int64_t hw : sizes) {
+    TensorF x({hw, hw, 3});
+    x.fill_uniform(rng, -0.5f, 0.5f);  // never the kHold tag
+    images.push_back(x);
+    futs.push_back(fleet.submit("m", std::move(x)));
+  }
+  gate->release();
+  EXPECT_EQ(holder.get().status, Status::kOk);
+  BatchRuleRun run;
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const Response r = futs[i].get();
+    EXPECT_EQ(r.status, Status::kOk) << r.reason;
+    if (!bits_equal(r.output, infer_single(reference, images[i]))) {
+      ++run.mismatches;
+    }
+  }
+  fleet.stop();
+  run.stats = fleet.stats();
+  return run;
+}
+
+TEST(ServingSession, MixedShapesCoalesceIntoIndirectBatches) {
+  // A/B/A/B traffic ships as ceil(n / max_batch) mixed-shape dispatches —
+  // not a batch-1 ping-pong — each bitwise equal to batch-1 infer.
+  std::vector<std::int64_t> sizes;
+  for (int i = 0; i < 12; ++i) sizes.push_back(i % 2 == 0 ? 8 : 6);
+  const BatchRuleRun run = batch_rule_probe(sizes);
+  EXPECT_EQ(run.mismatches, 0);
+  EXPECT_TRUE(run.stats.all_resolved());
+  EXPECT_EQ(run.stats.total.completed, 13);  // the holder + 12
+  EXPECT_LE(run.stats.total.batches, 1 + 3);  // the holder's + ceil(12 / 4)
+  EXPECT_GE(run.stats.total.indirect_batches, 1);
+}
+
+TEST(ServingSession, ShapeIdenticalRunStillShipsDenseUnderIndirectPolicy) {
+  const BatchRuleRun run = batch_rule_probe(std::vector<std::int64_t>(12, 8));
+  EXPECT_EQ(run.mismatches, 0);
+  EXPECT_TRUE(run.stats.all_resolved());
+  EXPECT_EQ(run.stats.total.completed, 13);
+  EXPECT_LE(run.stats.total.batches, 1 + 3);
+  EXPECT_EQ(run.stats.total.indirect_batches, 0);  // one shape → dense only
+}
+
+TEST(ServingSession, StopWithoutDrainUnderMixedTrafficResolvesEveryFuture) {
+  // A 200 ms hold keeps some of the mixed-shape backlog queued at stop:
+  // it is shed, never leaked.
+  FleetScheduler fleet(single_model_fleet(200ms));
+  fleet.add_tenant(make_tiny_fcn(), single_model(/*max_batch=*/4));
+  Rng rng(14);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 24; ++i) {
+    const std::int64_t s = (i % 3 == 0) ? 6 : ((i % 3 == 1) ? 8 : 10);
+    futs.push_back(fleet.submit("m", random_image(rng, s, s)));
+  }
+  fleet.stop(/*drain=*/false);
+  int ok = 0, shut = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "unresolved future";
+    const Response r = f.get();
+    ASSERT_TRUE(r.status == Status::kOk || r.status == Status::kShutdown);
+    (r.status == Status::kOk ? ok : shut)++;
+  }
+  EXPECT_EQ(ok + shut, 24);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.completed, ok);
+  EXPECT_EQ(s.shed, shut);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(ServingSession, DrainServesParkedMixedTraffic) {
+  // A draining stop serves mixed-shape requests still held open under a
+  // 500 ms max_wait.
+  FleetScheduler fleet(single_model_fleet(500ms));
+  fleet.add_tenant(make_tiny_fcn(), single_model(/*max_batch=*/8));
+  Rng rng(15);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 5; ++i) {
+    const std::int64_t s = (i % 2 == 0) ? 8 : 6;
+    futs.push_back(fleet.submit("m", random_image(rng, s, s)));
+  }
+  fleet.stop(/*drain=*/true);
+  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.completed, 5);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(ServingSession, FullQueueRejectsAtAdmission) {
+  // The worker holds the batch open (500 ms, max_batch 8), so a burst of
+  // 12 overflows a 4-deep queue.
+  FleetScheduler fleet(single_model_fleet(500ms));
+  fleet.add_tenant(make_tiny_classifier(),
+                   single_model(/*max_batch=*/8, /*queue_capacity=*/4));
+  Rng rng(9);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 12; ++i) futs.push_back(fleet.submit("m", random_image(rng)));
+  int ok = 0, rejected = 0;
+  for (auto& f : futs) {
+    const Response r = f.get();
+    if (r.status == Status::kOk) ++ok;
+    if (r.status == Status::kRejected) {
+      ++rejected;
+      EXPECT_EQ(r.reason, "queue full");
+    }
+  }
+  EXPECT_EQ(ok + rejected, 12);
+  EXPECT_GE(rejected, 1);
+  fleet.stop();
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.rejected, rejected);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(ServingSession, DeadlineExpiredWhileBatchHeldOpenIsShed) {
+  // max_batch 8 never fills, so the batch is held 50 ms; the 5 ms
+  // deadline lapses first.
+  FleetScheduler fleet(single_model_fleet(50ms));
+  fleet.add_tenant(make_tiny_classifier(), single_model(/*max_batch=*/8));
+  Rng rng(10);
+  const Response r =
+      fleet.submit("m", random_image(rng), Deadline::after(5ms)).get();
+  EXPECT_EQ(r.status, Status::kExpired);
+  fleet.stop();
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.expired, 1);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(ServingSession, StopWithDrainServesEverythingQueued) {
+  FleetScheduler fleet(single_model_fleet(20ms));
+  fleet.add_tenant(make_tiny_classifier(), single_model(/*max_batch=*/4));
+  Rng rng(11);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 16; ++i) futs.push_back(fleet.submit("m", random_image(rng)));
+  fleet.stop(/*drain=*/true);
+  for (auto& f : futs) EXPECT_EQ(f.get().status, Status::kOk);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.completed, 16);
+  EXPECT_TRUE(s.all_resolved());
+}
+
+TEST(ServingSession, StopWithoutDrainResolvesEveryFuture) {
+  FleetScheduler fleet(single_model_fleet(1ms));
+  fleet.add_tenant(make_tiny_classifier(), single_model(/*max_batch=*/2));
+  Rng rng(12);
+  std::vector<std::future<Response>> futs;
+  for (int i = 0; i < 32; ++i) futs.push_back(fleet.submit("m", random_image(rng)));
+  fleet.stop(/*drain=*/false);  // in-flight batches finish; the queue is shed
+  int ok = 0, shut = 0;
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(5s), std::future_status::ready) << "unresolved future";
+    const Response r = f.get();
+    ASSERT_TRUE(r.status == Status::kOk || r.status == Status::kShutdown);
+    (r.status == Status::kOk ? ok : shut)++;
+  }
+  EXPECT_EQ(ok + shut, 32);
+  const FleetScheduler::TenantStats s = fleet.stats().total;
+  EXPECT_EQ(s.completed, ok);
+  EXPECT_EQ(s.shed, shut);
+  EXPECT_TRUE(s.all_resolved());
+  // Idempotent: stopping again (and the destructor after that) is a no-op.
+  fleet.stop();
+}
+
+TEST(ServingSession, SubmitAfterStopResolvesShutdown) {
+  FleetScheduler fleet(single_model_fleet(2ms));
+  fleet.add_tenant(make_tiny_classifier(), single_model(/*max_batch=*/4));
+  fleet.stop();
+  Rng rng(13);
+  const Response r = fleet.submit("m", random_image(rng)).get();
+  EXPECT_EQ(r.status, Status::kShutdown);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Gradient checks (finite differences) for every layer, plus semantic unit
 // tests. Gradcheck validates both the layer backward rules and, for Conv2D,
-// the full Winograd forward/backward/filter-grad stack end to end.
+// the full Winograd forward/backward/filter-grad stack end to end. The
+// ConcurrentInference cases check that const Model::infer is safe and
+// bitwise stable from many threads at once (this binary runs under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,8 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
@@ -584,6 +588,71 @@ TEST(NnLoss, GradMatchesFiniteDifference) {
                        (2 * eps);
     EXPECT_NEAR(res.dlogits[i], want, 2e-3f) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent inference: const Model::infer from many threads at once
+
+/// Tiny conv net with a classifier head; same seed → identical weights.
+Model make_tiny_classifier(unsigned seed) {
+  Rng rng(seed);
+  Model m;
+  m.add(std::make_unique<Conv2D>(3, 8, 3, 1, 1, ConvEngine::kWinograd, rng,
+                                 "c1"));
+  m.add(std::make_unique<BatchNorm2D>(8));
+  m.add(std::make_unique<LeakyReLU>());
+  m.add(std::make_unique<Conv2D>(8, 8, 3, 1, 1, ConvEngine::kWinograd, rng,
+                                 "c2"));
+  m.add(std::make_unique<LeakyReLU>());
+  m.add(std::make_unique<MaxPool2x2>());
+  m.add(std::make_unique<Flatten>());
+  m.add(std::make_unique<Linear>(4 * 4 * 8, 10, rng, "fc"));
+  return m;
+}
+
+bool bits_equal(const TensorF& a, const TensorF& b) {
+  if (a.size() != b.size()) return false;
+  return std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(ConcurrentInference, EightThreadsMatchSingleThread) {
+  Model model = make_tiny_classifier(21);
+  Rng rng(22);
+  TensorF x({4, 8, 8, 3});
+  x.fill_uniform(rng, -1.0f, 1.0f);
+  const TensorF want = model.forward(x, /*train=*/false);
+  const TensorF want_infer = model.infer(x);
+  ASSERT_TRUE(bits_equal(want, want_infer));  // infer ≡ eval-mode forward
+
+  constexpr int kThreads = 8;
+  constexpr int kReps = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < kReps; ++rep) {
+        const TensorF y = model.infer(x);
+        if (!bits_equal(y, want)) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+TEST(ConcurrentInference, ResNetInferMatchesEvalForward) {
+  // ResidualBlock (incl. projection shortcut) also needs a const path.
+  ModelConfig cfg;
+  cfg.image_size = 8;
+  cfg.base_channels = 4;
+  Model model = make_resnet(18, cfg);
+  Rng rng(33);
+  TensorF x({2, 8, 8, 3});
+  x.fill_uniform(rng, -1.0f, 1.0f);
+  const TensorF want = model.forward(x, false);
+  EXPECT_TRUE(bits_equal(model.infer(x), want));
 }
 
 }  // namespace

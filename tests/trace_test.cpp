@@ -400,21 +400,6 @@ TEST(Metrics, CountersAreRaceFreeUnderParallelFor) {
             0);
 }
 
-TEST(Metrics, DistributionSummaryIsExactBelowReservoirCap) {
-  Distribution d;
-  for (int i = 1; i <= 100; ++i) d.record(static_cast<double>(i));
-  const auto s = d.summary();
-  EXPECT_EQ(s.count, 100);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_NEAR(s.p50, 50.0, 1.0);
-  EXPECT_NEAR(s.p99, 99.0, 1.0);
-  d.reset();
-  EXPECT_EQ(d.summary().count, 0);
-}
-
 TEST(Metrics, ResetZeroesValuesButKeepsReferencesValid) {
   Counter& c = MetricsRegistry::global().counter("test.reset_ref");
   c.add(5);
@@ -426,7 +411,7 @@ TEST(Metrics, ResetZeroesValuesButKeepsReferencesValid) {
 
 TEST(Metrics, TextReportListsEveryMetric) {
   MetricsRegistry::global().counter("test.report_counter").add(3);
-  MetricsRegistry::global().distribution("test.report_dist").record(1.5);
+  MetricsRegistry::global().histogram("test.report_dist").record(1.5);
   const std::string report = MetricsRegistry::global().text_report();
   EXPECT_NE(report.find("test.report_counter"), std::string::npos);
   EXPECT_NE(report.find("test.report_dist"), std::string::npos);
@@ -703,29 +688,6 @@ TEST(Metrics, HistogramIsExactUnderParallelFor) {
   EXPECT_DOUBLE_EQ(s.max, 7.0);
 }
 
-TEST(Metrics, DistributionMarksSaturatedReservoirAsApproximate) {
-  Distribution d;
-  const auto kN =
-      static_cast<std::int64_t>(Distribution::kMaxSamples) + 1024;
-  for (std::int64_t i = 0; i < kN; ++i) {
-    d.record(static_cast<double>(i));
-  }
-  const auto s = d.summary();
-  EXPECT_EQ(s.count, kN);
-  EXPECT_EQ(s.samples, static_cast<std::int64_t>(Distribution::kMaxSamples));
-  EXPECT_TRUE(s.degraded());
-
-  Distribution& reg =
-      MetricsRegistry::global().distribution("test.degraded_dist");
-  for (std::int64_t i = 0; i < kN; ++i) {
-    reg.record(static_cast<double>(i));
-  }
-  const std::string report = MetricsRegistry::global().text_report();
-  // The saturated reservoir must be marked, not silently approximate.
-  EXPECT_NE(report.find("~"), std::string::npos);
-  EXPECT_NE(report.find("approx:"), std::string::npos);
-}
-
 TEST(Metrics, SanitizeMetricNameMapsToPrometheusCharset) {
   EXPECT_EQ(sanitize_metric_name("serve.latency_us.ok"),
             "serve_latency_us_ok");
@@ -743,7 +705,7 @@ TEST(Metrics, PrometheusTextExposition) {
   h.record(1.0);
   h.record(2.0);
   h.record(1000.0);
-  reg.distribution("test.prom_dist").record(2.5);
+  reg.histogram("test.prom_dist").record(2.5);
 
   const std::string page = reg.prometheus_text();
   const auto npos = std::string::npos;
@@ -753,8 +715,8 @@ TEST(Metrics, PrometheusTextExposition) {
   EXPECT_NE(page.find("test_prom_hist_bucket{le=\"+Inf\"} 3\n"), npos);
   EXPECT_NE(page.find("test_prom_hist_sum 1003\n"), npos);
   EXPECT_NE(page.find("test_prom_hist_count 3\n"), npos);
-  EXPECT_NE(page.find("# TYPE test_prom_dist summary"), npos);
-  EXPECT_NE(page.find("test_prom_dist{quantile=\"0.5\"} 2.5\n"), npos);
+  EXPECT_NE(page.find("# TYPE test_prom_dist histogram"), npos);
+  EXPECT_NE(page.find("test_prom_dist_sum 2.5\n"), npos);
   EXPECT_NE(page.find("test_prom_dist_count 1\n"), npos);
 
   // Bucket lines must be cumulative (non-decreasing) and end at _count.
